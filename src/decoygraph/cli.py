@@ -160,7 +160,6 @@ def cmd_zeroday_scan(args) -> int:
         params,
         criterion=args.criterion,
         pessimistic_mode=args.pessimistic_y,
-        threads=args.threads,
     )
     if args.top is not None:
         records = records[: args.top]
@@ -228,7 +227,7 @@ def validate_plan_document(doc) -> None:
             raise ValueError(f"{field} out of range")
     if doc.get("distribution") is not None:
         total = sum(item["x"] for item in doc["distribution"])
-        if total > 1.0 + 1e-6 and total > doc.get("mitigation_budget", 1.0) + 1e-6:
+        if total > doc.get("mitigation_budget", 1.0) + 1e-6:
             raise ValueError("distribution mass exceeds budget")
         for item in doc["distribution"]:
             if not -1e-9 <= item["x"] <= 1.0 + 1e-9:
@@ -243,9 +242,7 @@ def cmd_mitigate(args) -> int:
     criterion = zeroday.normalize_criterion(args.criterion)
     game = build_matrix(graph, params)
     solution = solve_zero_sum(game.matrix)
-    records = zeroday.scan_candidates(
-        graph, params, criterion=criterion, solution=solution, threads=args.threads
-    )
+    records = zeroday.scan_candidates(graph, params, criterion=criterion, solution=solution)
     extra = {"strategy": args.strategy, "criterion": criterion}
     if args.strategy == "alpha":
         plan = mitigation.alpha_mitigation(records, k=args.k)
@@ -385,7 +382,6 @@ def build_parser() -> CliParser:
     p.add_argument("--criterion", choices=("opt", "pes"), default="pes")
     p.add_argument("--top", type=int, default=None, help="keep only the top N rows")
     p.add_argument("--pessimistic-y", choices=zeroday.PESSIMISTIC_MODES, default="best_response")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_zeroday_scan)
 
     p = sub.add_parser("mitigate", help="build and score a mitigation plan")
@@ -400,7 +396,6 @@ def build_parser() -> CliParser:
     p.add_argument("--add-honeypot", action="store_true",
                    help="critical-point variant with one pinned honeypot")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_mitigate)
 
     p = sub.add_parser("evaluate", help="expected rewards for a policy pairing")

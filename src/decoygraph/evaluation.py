@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .game import GameInstance, GameParams, build_matrix, pure_strategy, uniform_strategy
+from .game import GameInstance, GameParams, build_matrix, hit_matrix, pure_strategy, uniform_strategy
 from .graph import AttackGraph
 from .lp import GameSolution, solve_zero_sum
 from .zeroday import fmt6
@@ -142,16 +142,7 @@ def capture_proportion(game: GameInstance, x, y, pinned=()) -> float:
     ``pinned`` adds deterministic extra honeypot locations given as (u, v)
     pairs; they are combined with every defender allocation draw.
     """
-    pinned_pairs = {tuple(p) for p in pinned}
-    path_pairs = []
-    for path in game.paths:
-        path_pairs.append({(path.nodes[k], path.nodes[k + 1]) for k in range(path.hops)})
-    hit = np.zeros((len(game.actions), len(game.paths)))
-    for i, action in enumerate(game.actions):
-        pairs = {game.graph.edges[e] for e in action} | pinned_pairs
-        for j, on_path in enumerate(path_pairs):
-            if pairs & on_path:
-                hit[i, j] = 1.0
+    hit = hit_matrix(game.graph, game.actions, game.paths, pinned)
     return float(np.asarray(x) @ hit @ np.asarray(y))
 
 

@@ -161,20 +161,28 @@ def build_matrix(
     """
     actions = defender_actions(graph, params, limit=action_limit)
     paths = enumerate_attack_paths(graph, entries=entries, limit=path_limit)
+    matrix = payoff_matrix(graph, params, actions, paths)
+    return GameInstance(graph=graph, params=params, actions=actions, paths=paths, matrix=matrix)
+
+
+def payoff_matrix(graph: AttackGraph, params: GameParams, actions, paths, pinned=()) -> np.ndarray:
+    """Defender reward of every allocation in ``actions`` against every path.
+
+    ``pinned`` adds (u, v) honeypot locations to every allocation, as in
+    :func:`reward`: they are deduplicated against the allocation's edges,
+    and pins that are not graph edges cover nothing but still cost
+    ``honeypot_cost``. The reward is additive over covered edges, so
+    R[i, j] = base[j] + (cap + esc) * (covered value) - cost[i]. With
+    ``terminate_on_capture`` it is not, and every cell comes from
+    :func:`reward`.
+    """
     if params.terminate_on_capture:
         matrix = np.empty((len(actions), len(paths)))
         for i, action in enumerate(actions):
             for j, path in enumerate(paths):
-                matrix[i, j] = reward(graph, params, action, path)
-    else:
-        matrix = _bulk_matrix(graph, params, actions, paths)
-    return GameInstance(graph=graph, params=params, actions=actions, paths=paths, matrix=matrix)
-
-
-def _bulk_matrix(graph, params, actions, paths):
-    # R[i, j] = -esc * S_j + (cap + esc) * (covered value) - cost_i + hop term
-    n_edges = len(graph.edges)
-    weights = np.zeros((n_edges, len(paths)))
+                matrix[i, j] = reward(graph, params, action, path, pinned)
+        return matrix
+    weights = np.zeros((len(graph.edges), len(paths)))
     base = np.zeros(len(paths))
     for j, path in enumerate(paths):
         total_value = 0.0
@@ -183,14 +191,33 @@ def _bulk_matrix(graph, params, actions, paths):
             weights[eid, j] = v
             total_value += v
         base[j] = -params.esc * total_value + params.attack_cost_per_hop * path.hops
-    incidence = np.zeros((len(actions), n_edges))
-    costs = np.zeros(len(actions))
+    rows, deployed = _allocation_rows(graph, actions, pinned)
+    costs = params.honeypot_cost * deployed
+    return base[None, :] + (params.cap + params.esc) * (rows @ weights) - costs[:, None]
+
+
+def hit_matrix(graph: AttackGraph, actions, paths, pinned=()) -> np.ndarray:
+    """1.0 where allocation i, plus ``pinned``, covers an edge of path j, else 0.0."""
+    incidence = np.zeros((len(graph.edges), len(paths)))
+    for j, path in enumerate(paths):
+        for eid in path.edges:
+            incidence[eid, j] = 1.0
+    rows, _ = _allocation_rows(graph, actions, pinned)
+    hits = rows @ incidence
+    return np.minimum(hits, 1.0, out=hits)
+
+
+def _allocation_rows(graph: AttackGraph, actions, pinned):
+    """Edge-indicator row of each allocation with the in-graph pins set, and
+    the number of distinct honeypot locations each one deploys."""
+    pins = {tuple(p) for p in pinned}
+    pin_ids = [graph.edge_index[p] for p in pins if p in graph.edge_index]
+    rows = np.zeros((len(actions), len(graph.edges)))
     for i, action in enumerate(actions):
         for eid in action:
-            incidence[i, eid] = 1.0
-        costs[i] = params.honeypot_cost * len(action)
-    covered = incidence @ weights
-    return base[None, :] + (params.cap + params.esc) * covered - costs[:, None]
+            rows[i, eid] = 1.0
+    rows[:, pin_ids] = 1.0
+    return rows, rows.sum(axis=1) + (len(pins) - len(pin_ids))
 
 
 def pure_strategy(size: int, index: int) -> np.ndarray:

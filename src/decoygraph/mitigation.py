@@ -16,7 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .game import GameInstance, GameParams, build_matrix, pad_strategy, reward
+from .game import (
+    GameInstance, GameParams, build_matrix, defender_actions, hit_matrix, pad_strategy, payoff_matrix,
+)
 from .graph import AttackGraph, NodeRecord, augment, enumerate_attack_paths, graph_from_parts
 from .lp import GameSolution, LinearProgram, solve_lp, solve_zero_sum
 from .zeroday import rank_records
@@ -156,22 +158,22 @@ def _augmented_paths(graph: AttackGraph, edge: tuple[int, int]):
 
 def _mixed_columns(graph, params, actions, policy, paths, pinned):
     """Attacker reward and capture probability per path against a mixed
-    defender (support-only sums) with deterministic pinned extras."""
+    defender (support rows only) with deterministic pinned extras.
+
+    The sums run over the support rows one at a time, in support order, and
+    are vectorised across paths only. The attacker's old paths tie exactly at
+    equilibrium, and a matrix product (``probs @ rows``) rounds each column
+    in its own order, which moves the argmax that breaks those ties.
+    """
     support = [(i, float(p)) for i, p in enumerate(np.asarray(policy)) if p > 1e-12]
-    pinned_pairs = tuple(tuple(p) for p in pinned)
+    allocations = [actions[i] for i, _ in support]
+    rows = payoff_matrix(graph, params, allocations, paths, pinned)
+    hits = hit_matrix(graph, allocations, paths, pinned)
     rewards = np.zeros(len(paths))
     capture = np.zeros(len(paths))
-    for j, path in enumerate(paths):
-        path_pairs = {(path.nodes[k], path.nodes[k + 1]) for k in range(path.hops)}
-        pin_hit = any(p in path_pairs for p in pinned_pairs)
-        r = 0.0
-        c = 0.0
-        for i, prob in support:
-            r -= prob * reward(graph, params, actions[i], path, pinned_pairs)
-            if pin_hit or {graph.edges[e] for e in actions[i]} & path_pairs:
-                c += prob
-        rewards[j] = r
-        capture[j] = c
+    for (_, prob), row, hit in zip(support, rows, hits):
+        rewards -= prob * row
+        capture += prob * hit
     return rewards, capture
 
 
@@ -268,16 +270,17 @@ def _optimistic_outcome(game1, policy, pins, edge):
     """Equilibrium attacker strategy of the pinned augmented game, scored
     against the padded mitigated policy."""
     graph2 = augment(game1.graph, edge)
-    game2 = build_matrix(graph2, game1.params)
-    pinned_matrix = np.empty_like(game2.matrix)
-    for i, action in enumerate(game2.actions):
-        for j, path in enumerate(game2.paths):
-            pinned_matrix[i, j] = reward(graph2, game1.params, action, path, pins)
-    y2 = solve_zero_sum(pinned_matrix).attacker_strategy
-    xhat = pad_strategy(policy, game1, game2)
-    reward_after = float(-(xhat @ pinned_matrix @ y2))
-    _, capture_cols = _mixed_columns(graph2, game1.params, game1.actions, policy, game2.paths, pins)
-    return reward_after, float(capture_cols @ y2), game2.paths
+    paths2 = _augmented_paths(game1.graph, edge)
+    actions2 = defender_actions(graph2, game1.params)
+    pinned_game = GameInstance(
+        graph=graph2, params=game1.params, actions=actions2, paths=paths2,
+        matrix=payoff_matrix(graph2, game1.params, actions2, paths2, pins),
+    )
+    y2 = solve_zero_sum(pinned_game.matrix).attacker_strategy
+    xhat = pad_strategy(policy, game1, pinned_game)
+    reward_after = float(-(xhat @ pinned_game.matrix @ y2))
+    _, capture_cols = _mixed_columns(graph2, game1.params, game1.actions, policy, paths2, pins)
+    return reward_after, float(capture_cols @ y2)
 
 
 def evaluate_mitigation(
@@ -300,6 +303,10 @@ def evaluate_mitigation(
     """
     policy = plan.modified_policy if plan.modified_policy is not None else np.asarray(x_base)
     pins = tuple(tuple(p) for p in plan.pinned_edges)
+    base_rewards, _ = _mixed_columns(
+        game1.graph, game1.params, game1.actions, policy, game1.paths, pins
+    )
+    baseline = float(np.max(base_rewards))
     outcomes = []
     for rec in report:
         paths2 = _augmented_paths(game1.graph, rec.edge)
@@ -311,7 +318,7 @@ def evaluate_mitigation(
         b_idx = int(np.argmax(before_rewards))
 
         if criterion == "optimistic":
-            reward_after, capture_after, _ = _optimistic_outcome(game1, policy, pins, rec.edge)
+            reward_after, capture_after = _optimistic_outcome(game1, policy, pins, rec.edge)
         else:
             after_rewards, after_capture = _mixed_columns(
                 graph2, game1.params, game1.actions, policy, paths2, pins
@@ -320,10 +327,6 @@ def evaluate_mitigation(
             reward_after = float(after_rewards[a_idx])
             capture_after = float(after_capture[a_idx])
 
-        base_rewards, _ = _mixed_columns(
-            game1.graph, game1.params, game1.actions, policy, game1.paths, pins
-        )
-        baseline = float(np.max(base_rewards))
         outcomes.append(
             CandidateOutcome(
                 edge=rec.edge,

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import io
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +25,6 @@ CRITERIA = ("pessimistic", "optimistic")
 PESSIMISTIC_MODES = ("best_response", "game2_ne")
 
 CSV_COLUMNS = ("edge_u", "edge_v", "naive", "optimistic", "pessimistic", "impact", "y_e", "dominance")
-
-THREADS_ENV_VAR = "DECOYGRAPH_THREADS"
 
 
 @dataclass(frozen=True)
@@ -159,42 +155,9 @@ def evaluate_candidate(
     )
 
 
-def check_dominance(game1: GameInstance, x1, edge, y1=None) -> str:
-    """Classify a candidate edge as dominant, dominated, or neither.
-
-    Dominant: the best new path strictly beats every pre-existing path
-    against the fixed policy, so any best response plays it with probability
-    one. Dominated: it is strictly worse than every supported old path and
-    the old mixed value, so it gets zero probability.
-    """
-    if y1 is None:
-        y1 = solve_zero_sum(game1.matrix).attacker_strategy
-    graph2 = augment(game1.graph, edge)
-    game2 = build_matrix(graph2, game1.params)
-    xhat = pad_strategy(x1, game1, game2)
-    column_rewards = -(xhat @ game2.matrix)
-    new_mask = _new_path_columns(game2, len(game1.graph.edges))
-    if not new_mask.any():
-        raise ValueError(f"candidate {tuple(edge)} induces no new attack path")
-    naive_mixed = float(-(np.asarray(x1) @ game1.matrix @ np.asarray(y1)))
-    return _classify_dominance(column_rewards, new_mask, y1, naive_mixed)
-
-
 def rank_records(records) -> list[ZeroDayRecord]:
     """Descending by impact, ties broken by ascending (u, v)."""
     return sorted(records, key=lambda r: (-r.impact, r.edge))
-
-
-def _thread_count(threads) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
 
 
 def scan_candidates(
@@ -204,14 +167,8 @@ def scan_candidates(
     criterion: str = "pessimistic",
     pessimistic_mode: str = "best_response",
     solution=None,
-    threads=None,
 ) -> list[ZeroDayRecord]:
-    """Evaluate every analyzed or rule-dominant candidate edge, ranked.
-
-    Candidates are independent, so the scan may run them on a thread pool
-    (``threads`` argument or the DECOYGRAPH_THREADS environment variable);
-    results merge in candidate order either way, so output is deterministic.
-    """
+    """Evaluate every analyzed or rule-dominant candidate edge, ranked."""
     criterion = normalize_criterion(criterion)
     game1 = build_matrix(graph, params)
     if solution is None:
@@ -234,13 +191,7 @@ def scan_candidates(
             compute_optimistic=not skip_opt,
         )
 
-    n_threads = _thread_count(threads)
-    if n_threads > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            records = list(pool.map(run, work))
-    else:
-        records = [run(c) for c in work]
-    return rank_records(records)
+    return rank_records([run(c) for c in work])
 
 
 def fmt6(value: float) -> str:

@@ -1,19 +1,31 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoygraph.game import (
     GameParams,
     build_matrix,
     defender_actions,
+    hit_matrix,
     load_params,
     pad_strategy,
     params_to_document,
+    payoff_matrix,
     reward,
 )
-from decoygraph.graph import EnumerationLimitError, augment, enumerate_attack_paths
+from decoygraph.graph import (
+    EnumerationLimitError,
+    NodeRecord,
+    augment,
+    enumerate_attack_paths,
+    generate_zero_day_candidates,
+    graph_from_parts,
+)
 from decoygraph import fixtures
 from oracles import literal_reward
 
@@ -140,6 +152,83 @@ def test_matrix_oracle_on_terminate_mode(tree7):
     for i, action in enumerate(game.actions):
         for j, path in enumerate(game.paths):
             assert game.matrix[i, j] == literal_reward(values, graph.edges, params, action, path.nodes)
+
+
+def literal_hits(graph, actions, paths, pinned):
+    """Capture indicator by set intersection of honeypot and path hops."""
+    out = np.zeros((len(actions), len(paths)))
+    for i, action in enumerate(actions):
+        honeypots = {graph.edges[e] for e in action} | {tuple(p) for p in pinned}
+        for j, path in enumerate(paths):
+            if honeypots & set(zip(path.nodes, path.nodes[1:])):
+                out[i, j] = 1.0
+    return out
+
+
+def literal_matrix(graph, params, actions, paths, pinned):
+    values = {n.id: n.value for n in graph.nodes}
+    return np.array([
+        [literal_reward(values, graph.edges, params, a, p.nodes, pinned) for p in paths]
+        for a in actions
+    ])
+
+
+@st.composite
+def pinned_games(draw):
+    """Small DAG with non-integer values and costs, its action space, and
+    pins that include an allocation edge, a non-edge and a repeat."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=10))
+    if (0, n - 1) not in edges:
+        edges.append((0, n - 1))
+    value = st.floats(min_value=0.0, max_value=20.0, allow_nan=False, allow_infinity=False)
+    nodes = [
+        NodeRecord(i, 0.0 if i == 0 else draw(value),
+                   "entry" if i == 0 else "target" if i == n - 1 else "intermediate")
+        for i in range(n)
+    ]
+    graph = graph_from_parts(nodes, edges)
+    cost = st.floats(min_value=0.0, max_value=15.0, allow_nan=False, allow_infinity=False)
+    params = GameParams(cap=draw(cost), esc=draw(cost), honeypot_cost=draw(cost),
+                        attack_cost_per_hop=draw(cost),
+                        budget=draw(st.integers(min_value=0, max_value=min(2, len(edges)))))
+    on_graph = draw(st.sampled_from(graph.edges))
+    off_graph = draw(st.sampled_from([(v, u) for u, v in possible] + [(0, n + 3)]))
+    pins = draw(st.permutations([on_graph, off_graph, on_graph]))
+    return graph, params, pins
+
+
+@given(pinned_games())
+@settings(max_examples=80, deadline=None)
+def test_payoff_and_hit_kernels_match_literal_definitions(case):
+    graph, params, pins = case
+    actions = defender_actions(graph, params)
+    paths = enumerate_attack_paths(graph)
+    for pinned in ((), pins):
+        expected = literal_matrix(graph, params, actions, paths, pinned)
+        got = payoff_matrix(graph, params, actions, paths, pinned)
+        scale = max(1.0, float(np.abs(expected).max()))
+        assert np.abs(got - expected).max() <= 1e-12 * scale
+        assert np.array_equal(hit_matrix(graph, actions, paths, pinned),
+                              literal_hits(graph, actions, paths, pinned))
+        terminate = replace(params, terminate_on_capture=True)
+        assert np.array_equal(payoff_matrix(graph, terminate, actions, paths, pinned),
+                              literal_matrix(graph, terminate, actions, paths, pinned))
+
+
+def test_pinned_kernel_exact_on_fixtures(line3, tree7, net20):
+    # integer node values and costs: every regrouping is exact, so tied
+    # attacker rewards stay tied in the mitigation layer
+    for graph, params, game, _ in (line3, tree7, net20):
+        new_edge = next(c.edge for c in generate_zero_day_candidates(graph) if c.status == "analyzed")
+        graph2 = augment(graph, new_edge)
+        paths2 = enumerate_attack_paths(graph2)
+        pins = (new_edge, graph.edges[0], new_edge)
+        assert np.array_equal(payoff_matrix(graph2, params, game.actions, paths2, pins),
+                              literal_matrix(graph2, params, game.actions, paths2, pins))
+        assert np.array_equal(payoff_matrix(graph, params, game.actions, game.paths, pins),
+                              literal_matrix(graph, params, game.actions, game.paths, pins))
 
 
 def test_augment_grows_columns(line3):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from decoygraph.game import GameParams, build_matrix
-from decoygraph.graph import NodeRecord, graph_from_parts
+from decoygraph.graph import NodeRecord, augment, enumerate_attack_paths, graph_from_parts
 from decoygraph.lp import solve_zero_sum
 from decoygraph.mitigation import (
     alpha_mitigation,
@@ -15,6 +15,7 @@ from decoygraph.mitigation import (
     weighted_residual,
 )
 from decoygraph.zeroday import scan_candidates
+from oracles import literal_reward
 from test_zeroday import make_record
 
 
@@ -204,6 +205,30 @@ class TestEvaluateMitigation:
             pinned_real = capture_proportion(game, sol.defender_strategy, y, pinned=[edge])
             assert pinned >= base - 1e-12
             assert pinned_real >= base - 1e-12
+
+    def test_tied_best_responses_keep_path_order_tie_break(self, tree7):
+        # In 21 of tree7's 36 outcomes the attacker's best paths tie exactly
+        # against the pinned base policy; the first in path order is scored.
+        # Summing the support as one matrix-vector product rounds the tied
+        # columns apart and gives 0.391975 overall and 0.481481 on the ties.
+        graph, params, game, sol = tree7
+        rows = scan_candidates(graph, params, solution=sol)
+        plan = alpha_mitigation(rows, k=1)
+        metrics = evaluate_mitigation(plan, game, sol.defender_strategy, rows)
+        assert metrics.capture_after == pytest.approx(0.413580, abs=1e-6)
+        support = [(a, p) for a, p in zip(game.actions, sol.defender_strategy) if p > 1e-12]
+        tied = []
+        for o in metrics.outcomes:
+            graph2 = augment(graph, o.edge)
+            attacker = [
+                -sum(p * literal_reward(graph.values, graph2.edges, params, a, path.nodes,
+                                        plan.pinned_edges) for a, p in support)
+                for path in enumerate_attack_paths(graph2)
+            ]
+            if sum(r >= max(attacker) - 1e-9 for r in attacker) > 1:
+                tied.append(o.capture_after)
+        assert len(tied) == 21
+        assert np.mean(tied) == pytest.approx(0.518519, abs=1e-6)
 
     def test_random_plan_is_seeded(self, line3):
         graph, params, game, sol = line3

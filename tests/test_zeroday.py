@@ -5,7 +5,6 @@ from decoygraph.graph import NodeRecord, graph_from_parts
 from decoygraph.lp import solve_zero_sum
 from decoygraph.zeroday import (
     ZeroDayRecord,
-    check_dominance,
     evaluate_candidate,
     rank_records,
     report_csv,
@@ -80,18 +79,6 @@ class TestScan:
         assert any(r.impact > 1e-9 for r in rows)
         assert any(abs(r.impact) <= 1e-9 for r in rows)
 
-    def test_thread_count_does_not_change_report(self, tree7):
-        graph, params, _, sol = tree7
-        seq = scan_candidates(graph, params, solution=sol, threads=1)
-        par = scan_candidates(graph, params, solution=sol, threads=4)
-        assert seq == par
-
-    def test_env_var_thread_cap(self, tree7, monkeypatch):
-        graph, params, _, sol = tree7
-        monkeypatch.setenv("DECOYGRAPH_THREADS", "3")
-        rows = scan_candidates(graph, params, solution=sol)
-        assert rows == scan_candidates(graph, params, solution=sol, threads=1)
-
     def test_csv_layout(self, line3):
         graph, params, _, sol = line3
         rows = scan_candidates(graph, params, solution=sol)
@@ -130,8 +117,6 @@ def dominated_fixture():
 class TestDominance:
     def test_dominant_case_agrees_with_best_response(self, line3):
         _, _, game, sol = line3
-        klass = check_dominance(game, sol.defender_strategy, (1, 3), y1=sol.attacker_strategy)
-        assert klass == "dominant"
         rec = evaluate_candidate(game, sol.defender_strategy, (1, 3), y1=sol.attacker_strategy)
         assert rec.dominance == "dominant"
         # the fixed-defender best response indeed plays the new path
@@ -144,19 +129,12 @@ class TestDominance:
         game = build_matrix(graph, params)
         sol = solve_zero_sum(game.matrix)
         assert sol.defender_strategy[game.actions.index((1,))] == pytest.approx(1.0)
-        klass = check_dominance(game, sol.defender_strategy, (1, 4), y1=sol.attacker_strategy)
-        assert klass == expected
         rec = evaluate_candidate(game, sol.defender_strategy, (1, 4), y1=sol.attacker_strategy)
         assert rec.dominance == expected
         if expected == "dominated":
             # best response keeps zero probability on the new path
             assert rec.exploit_probability == pytest.approx(0.0)
             assert rec.impact == pytest.approx(0.0, abs=1e-9)
-
-    def test_requires_new_path(self, line3):
-        _, _, game, sol = line3
-        with pytest.raises(ValueError, match="no new attack path"):
-            check_dominance(game, sol.defender_strategy, (3, 2), y1=sol.attacker_strategy)
 
 
 def test_candidate_independence_matches_itemwise(line3):
