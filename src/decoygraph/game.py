@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graph import AttackGraph, AttackPath, EnumerationLimitError, enumerate_attack_paths
+from .graph import AttackGraph, AttackPath, EnumerationLimitError, enumerate_attack_paths, is_finite_number
 
 DEFAULT_ACTION_LIMIT = 1_000_000
 
@@ -37,10 +37,13 @@ class GameParams:
 
     def __post_init__(self):
         for name in ("cap", "esc", "honeypot_cost", "attack_cost_per_hop"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not is_finite_number(value) or value < 0:
+                raise ValueError(f"{name} must be a finite nonnegative number, got {value!r}")
         if not isinstance(self.budget, int) or isinstance(self.budget, bool) or self.budget < 0:
             raise ValueError(f"budget must be a nonnegative integer, got {self.budget!r}")
+        if not isinstance(self.terminate_on_capture, bool):
+            raise ValueError(f"terminate_on_capture must be true or false, got {self.terminate_on_capture!r}")
 
 
 def load_params(source) -> GameParams:
@@ -89,10 +92,6 @@ class GameInstance:
     actions: tuple[tuple[int, ...], ...]
     paths: tuple[AttackPath, ...]
     matrix: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def defender_actions(
@@ -166,45 +165,67 @@ def build_matrix(
 
 
 def payoff_matrix(graph: AttackGraph, params: GameParams, actions, paths, pinned=()) -> np.ndarray:
-    """Defender reward of every allocation in ``actions`` against every path.
-
-    ``pinned`` adds (u, v) honeypot locations to every allocation, as in
-    :func:`reward`: they are deduplicated against the allocation's edges,
-    and pins that are not graph edges cover nothing but still cost
-    ``honeypot_cost``. The reward is additive over covered edges, so
-    R[i, j] = base[j] + (cap + esc) * (covered value) - cost[i]. With
-    ``terminate_on_capture`` it is not, and every cell comes from
-    :func:`reward`.
-    """
-    if params.terminate_on_capture:
-        matrix = np.empty((len(actions), len(paths)))
-        for i, action in enumerate(actions):
-            for j, path in enumerate(paths):
-                matrix[i, j] = reward(graph, params, action, path, pinned)
-        return matrix
-    weights = np.zeros((len(graph.edges), len(paths)))
-    base = np.zeros(len(paths))
-    for j, path in enumerate(paths):
-        total_value = 0.0
-        for eid, node in zip(path.edges, path.nodes[1:]):
-            v = graph.value(node)
-            weights[eid, j] = v
-            total_value += v
-        base[j] = -params.esc * total_value + params.attack_cost_per_hop * path.hops
-    rows, deployed = _allocation_rows(graph, actions, pinned)
-    costs = params.honeypot_cost * deployed
-    return base[None, :] + (params.cap + params.esc) * (rows @ weights) - costs[:, None]
+    """Defender reward of every allocation in ``actions`` against every path."""
+    return PathColumns(graph, paths).payoff(params, actions, pinned)
 
 
 def hit_matrix(graph: AttackGraph, actions, paths, pinned=()) -> np.ndarray:
     """1.0 where allocation i, plus ``pinned``, covers an edge of path j, else 0.0."""
-    incidence = np.zeros((len(graph.edges), len(paths)))
-    for j, path in enumerate(paths):
-        for eid in path.edges:
-            incidence[eid, j] = 1.0
-    rows, _ = _allocation_rows(graph, actions, pinned)
-    hits = rows @ incidence
-    return np.minimum(hits, 1.0, out=hits)
+    return PathColumns(graph, paths).hits(actions, pinned)
+
+
+class PathColumns:
+    """Per-path data of the edge-additive reward kernel, built in one pass.
+
+    ``incidence[e, j]`` is 1.0 where path j takes edge e, ``weights[e, j]``
+    is then the value of the node that edge enters, and ``totals[j]`` sums
+    path j's non-entry node values in path order. Scoring several allocation
+    sets against one path set reuses these columns.
+    """
+
+    def __init__(self, graph: AttackGraph, paths):
+        self.graph = graph
+        self.paths = paths
+        self.incidence = np.zeros((len(graph.edges), len(paths)))
+        self.weights = np.zeros((len(graph.edges), len(paths)))
+        self.totals = np.zeros(len(paths))
+        for j, path in enumerate(paths):
+            total_value = 0.0
+            for eid, node in zip(path.edges, path.nodes[1:]):
+                v = graph.value(node)
+                self.incidence[eid, j] = 1.0
+                self.weights[eid, j] = v
+                total_value += v
+            self.totals[j] = total_value
+
+    def payoff(self, params: GameParams, actions, pinned=()) -> np.ndarray:
+        """Defender reward of every allocation in ``actions`` against every path.
+
+        ``pinned`` adds (u, v) honeypot locations to every allocation, as in
+        :func:`reward`: they are deduplicated against the allocation's edges,
+        and pins that are not graph edges cover nothing but still cost
+        ``honeypot_cost``. The reward is additive over covered edges, so
+        R[i, j] = base[j] + (cap + esc) * (covered value) - cost[i]. With
+        ``terminate_on_capture`` it is not, and every cell comes from
+        :func:`reward`.
+        """
+        if params.terminate_on_capture:
+            matrix = np.empty((len(actions), len(self.paths)))
+            for i, action in enumerate(actions):
+                for j, path in enumerate(self.paths):
+                    matrix[i, j] = reward(self.graph, params, action, path, pinned)
+            return matrix
+        hops = self.incidence.sum(axis=0)
+        base = -params.esc * self.totals + params.attack_cost_per_hop * hops
+        rows, deployed = _allocation_rows(self.graph, actions, pinned)
+        costs = params.honeypot_cost * deployed
+        return base[None, :] + (params.cap + params.esc) * (rows @ self.weights) - costs[:, None]
+
+    def hits(self, actions, pinned=()) -> np.ndarray:
+        """1.0 where allocation i, plus ``pinned``, covers an edge of path j, else 0.0."""
+        rows, _ = _allocation_rows(self.graph, actions, pinned)
+        hits = rows @ self.incidence
+        return np.minimum(hits, 1.0, out=hits)
 
 
 def _allocation_rows(graph: AttackGraph, actions, pinned):

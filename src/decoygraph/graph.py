@@ -9,6 +9,7 @@ simple directed path from an entry node to a target node.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -119,6 +120,8 @@ def load_graph(source) -> AttackGraph:
     for key in ("nodes", "edges"):
         if key not in document:
             raise GraphError(f"graph document missing '{key}'")
+        if not isinstance(document[key], list):
+            raise GraphError(f"graph document '{key}' must be a list, got {document[key]!r}")
 
     nodes = []
     for raw in document["nodes"]:
@@ -160,8 +163,8 @@ def _validate(graph: AttackGraph) -> None:
         seen.add(node.id)
         if node.role not in ROLES:
             raise GraphError(f"unknown role {node.role!r} for node {node.id}")
-        if not isinstance(node.value, (int, float)) or node.value < 0:
-            raise GraphError(f"negative or non-numeric value {node.value!r} for node {node.id}")
+        if not is_finite_number(node.value) or node.value < 0:
+            raise GraphError(f"negative, non-finite or non-numeric value {node.value!r} for node {node.id}")
     if not graph.entry_ids:
         raise GraphError("no entry nodes")
     if not graph.target_ids:
@@ -182,6 +185,11 @@ def _validate(graph: AttackGraph) -> None:
     targets = set(graph.target_ids)
     if not (_forward_reachable(graph) & targets):
         raise GraphError("no path from any entry node to any target node")
+
+
+def is_finite_number(value) -> bool:
+    """True for a finite int or float; bools and everything else are rejected."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _forward_reachable(graph: AttackGraph, sources=None) -> set[int]:

@@ -12,13 +12,10 @@ the usual per-honeypot fee and do not consume the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .game import (
-    GameInstance, GameParams, build_matrix, defender_actions, hit_matrix, pad_strategy, payoff_matrix,
-)
+from .game import GameInstance, GameParams, PathColumns, build_matrix, defender_actions
 from .graph import AttackGraph, NodeRecord, augment, enumerate_attack_paths, graph_from_parts
 from .lp import GameSolution, LinearProgram, solve_lp, solve_zero_sum
 from .zeroday import rank_records
@@ -151,40 +148,41 @@ def lp_mitigation(report, probabilities=None, budget: float = 1.0) -> Mitigation
     return MitigationPlan(kind="lp", pinned_edges=pinned, distribution=allocation, objective=residual)
 
 
-@lru_cache(maxsize=4096)
-def _augmented_paths(graph: AttackGraph, edge: tuple[int, int]):
-    return enumerate_attack_paths(augment(graph, edge))
+def _support(actions, policy):
+    """The allocations a mixed defender strategy plays, in action order, and
+    their probabilities."""
+    probs = np.asarray(policy)
+    index = np.flatnonzero(probs > 1e-12)
+    return [actions[i] for i in index], probs[index].tolist()
 
 
-def _mixed_columns(graph, params, actions, policy, paths, pinned):
+def _augmented_columns(graph: AttackGraph, edge) -> PathColumns:
+    """Path columns of ``graph`` with the candidate ``edge`` added."""
+    graph2 = augment(graph, edge)
+    return PathColumns(graph2, enumerate_attack_paths(graph2))
+
+
+def _mixed_columns(columns: PathColumns, params, support, pinned):
     """Attacker reward and capture probability per path against a mixed
-    defender (support rows only) with deterministic pinned extras.
+    defender (its support) with deterministic pinned extras.
 
     The sums run over the support rows one at a time, in support order, and
     are vectorised across paths only. The attacker's old paths tie exactly at
     equilibrium, and a matrix product (``probs @ rows``) rounds each column
     in its own order, which moves the argmax that breaks those ties.
     """
-    support = [(i, float(p)) for i, p in enumerate(np.asarray(policy)) if p > 1e-12]
-    allocations = [actions[i] for i, _ in support]
-    rows = payoff_matrix(graph, params, allocations, paths, pinned)
-    hits = hit_matrix(graph, allocations, paths, pinned)
-    rewards = np.zeros(len(paths))
-    capture = np.zeros(len(paths))
-    for (_, prob), row, hit in zip(support, rows, hits):
+    allocations, probs = support
+    rows = columns.payoff(params, allocations, pinned)
+    hits = columns.hits(allocations, pinned)
+    rewards = np.zeros(len(columns.paths))
+    capture = np.zeros(len(columns.paths))
+    for prob, row, hit in zip(probs, rows, hits):
         rewards -= prob * row
         capture += prob * hit
     return rewards, capture
 
 
-def nature_game(
-    game1: GameInstance,
-    x1,
-    report,
-    *,
-    criterion: str = "pessimistic",
-    mitigation_kind: str = "pinned",
-) -> NatureGame:
+def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimistic") -> NatureGame:
     """Worst-case mitigation: solve defender-vs-nature over pin locations.
 
     Off-diagonal cells carry the defender's unmitigated expected reward for
@@ -195,8 +193,6 @@ def nature_game(
     rows = list(report)
     if not rows:
         raise ValueError("no candidate locations for the nature game")
-    if mitigation_kind != "pinned":
-        raise ValueError(f"unsupported mitigation_kind {mitigation_kind!r}")
     if criterion not in ("pessimistic", "optimistic"):
         raise ValueError(f"criterion must be 'pessimistic' or 'optimistic', got {criterion!r}")
 
@@ -205,12 +201,10 @@ def nature_game(
     for j, rec in enumerate(rows):
         unmitigated = rec.pessimistic if criterion == "pessimistic" else rec.optimistic
         matrix[:, j] = -unmitigated
+    support = _support(game1.actions, x1)
     for i, rec in enumerate(rows):
-        paths2 = _augmented_paths(game1.graph, rec.edge)
-        graph2 = augment(game1.graph, rec.edge)
-        rewards, _ = _mixed_columns(
-            graph2, game1.params, game1.actions, x1, paths2, (rec.edge,)
-        )
+        columns = _augmented_columns(game1.graph, rec.edge)
+        rewards, _ = _mixed_columns(columns, game1.params, support, (rec.edge,))
         matrix[i, i] = -float(np.max(rewards))
     solution = solve_zero_sum(matrix)
     return NatureGame(locations=tuple(r.edge for r in rows), matrix=matrix, solution=solution)
@@ -266,23 +260,6 @@ def critical_point_mitigation(
     )
 
 
-def _optimistic_outcome(game1, policy, pins, edge):
-    """Equilibrium attacker strategy of the pinned augmented game, scored
-    against the padded mitigated policy."""
-    graph2 = augment(game1.graph, edge)
-    paths2 = _augmented_paths(game1.graph, edge)
-    actions2 = defender_actions(graph2, game1.params)
-    pinned_game = GameInstance(
-        graph=graph2, params=game1.params, actions=actions2, paths=paths2,
-        matrix=payoff_matrix(graph2, game1.params, actions2, paths2, pins),
-    )
-    y2 = solve_zero_sum(pinned_game.matrix).attacker_strategy
-    xhat = pad_strategy(policy, game1, pinned_game)
-    reward_after = float(-(xhat @ pinned_game.matrix @ y2))
-    _, capture_cols = _mixed_columns(graph2, game1.params, game1.actions, policy, paths2, pins)
-    return reward_after, float(capture_cols @ y2)
-
-
 def evaluate_mitigation(
     plan: MitigationPlan,
     game1: GameInstance,
@@ -290,39 +267,39 @@ def evaluate_mitigation(
     report,
     *,
     criterion: str = "pessimistic",
-    tol: float = PREVENTION_TOL,
 ) -> MitigationMetrics:
     """Score a plan over every scanned candidate.
 
-    For each candidate the attacker's criterion strategy is recomputed
-    against the mitigated defender (modified or base policy plus pins). A
-    candidate counts as prevented when the mitigated attacker reward does not
-    exceed what the attacker could already get on the original graph against
-    the same mitigated defender, so the zero-day yields no residual benefit.
+    Each candidate's paths are enumerated once, and the base policy and the
+    mitigated defender (modified or base policy plus pins) are both scored
+    on them. The attacker's criterion strategy is recomputed against the
+    mitigated defender: a best response (pessimistic) or the equilibrium
+    attacker strategy of the pinned augmented game (optimistic). A candidate counts as prevented when the mitigated
+    attacker reward does not exceed what the attacker could already get on
+    the original graph against the same mitigated defender (within
+    ``PREVENTION_TOL``), so the zero-day yields no residual benefit.
     Capture proportions are exact expectations under both strategies.
     """
+    params = game1.params
     policy = plan.modified_policy if plan.modified_policy is not None else np.asarray(x_base)
     pins = tuple(tuple(p) for p in plan.pinned_edges)
-    base_rewards, _ = _mixed_columns(
-        game1.graph, game1.params, game1.actions, policy, game1.paths, pins
-    )
+    before = _support(game1.actions, x_base)
+    after = _support(game1.actions, policy)
+    base_rewards, _ = _mixed_columns(PathColumns(game1.graph, game1.paths), params, after, pins)
     baseline = float(np.max(base_rewards))
     outcomes = []
     for rec in report:
-        paths2 = _augmented_paths(game1.graph, rec.edge)
-        graph2 = augment(game1.graph, rec.edge)
-
-        before_rewards, before_capture = _mixed_columns(
-            graph2, game1.params, game1.actions, x_base, paths2, ()
-        )
+        columns = _augmented_columns(game1.graph, rec.edge)
+        before_rewards, before_capture = _mixed_columns(columns, params, before, ())
+        after_rewards, after_capture = _mixed_columns(columns, params, after, pins)
         b_idx = int(np.argmax(before_rewards))
 
         if criterion == "optimistic":
-            reward_after, capture_after = _optimistic_outcome(game1, policy, pins, rec.edge)
+            actions2 = defender_actions(columns.graph, params)
+            y2 = solve_zero_sum(columns.payoff(params, actions2, pins)).attacker_strategy
+            reward_after = float(after_rewards @ y2)
+            capture_after = float(after_capture @ y2)
         else:
-            after_rewards, after_capture = _mixed_columns(
-                graph2, game1.params, game1.actions, policy, paths2, pins
-            )
             a_idx = int(np.argmax(after_rewards))
             reward_after = float(after_rewards[a_idx])
             capture_after = float(after_capture[a_idx])
@@ -334,7 +311,7 @@ def evaluate_mitigation(
                 reward_after=reward_after,
                 capture_before=float(before_capture[b_idx]),
                 capture_after=capture_after,
-                prevented=bool(reward_after <= baseline + tol),
+                prevented=bool(reward_after <= baseline + PREVENTION_TOL),
             )
         )
     effectiveness = sum(o.prevented for o in outcomes) / len(outcomes) if outcomes else 0.0

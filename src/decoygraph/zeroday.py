@@ -52,10 +52,6 @@ def normalize_criterion(criterion: str) -> str:
     return criterion
 
 
-def _new_path_columns(game2: GameInstance, new_edge_id: int) -> np.ndarray:
-    return np.array([new_edge_id in path.edges for path in game2.paths])
-
-
 def _classify_dominance(column_rewards, new_mask, y1, naive_mixed) -> str:
     """Strict-dominance classification of the best new path vs the old set.
 
@@ -108,34 +104,31 @@ def evaluate_candidate(
 
     naive = float(np.max(-(np.asarray(x1) @ game1.matrix)))
     column_rewards = -(xhat @ game2.matrix)
-    new_mask = _new_path_columns(game2, len(game1.graph.edges))
+    new_mask = np.array([len(game1.graph.edges) in path.edges for path in game2.paths])
     new_path_count = int(new_mask.sum())
 
     br_index = int(np.argmax(column_rewards))
     br_value = float(column_rewards[br_index])
     br_strategy = pure_strategy(len(game2.paths), br_index)
 
-    need_solution = compute_optimistic or pessimistic_mode == "game2_ne"
-    if need_solution:
-        solution2 = solve_zero_sum(game2.matrix)
-        y2 = solution2.attacker_strategy
-        padded_value = float(-(xhat @ game2.matrix @ y2))
+    if compute_optimistic or pessimistic_mode == "game2_ne":
+        y2 = solve_zero_sum(game2.matrix).attacker_strategy
+        optimistic = float(column_rewards @ y2)
     else:
-        y2 = None
-        padded_value = br_value
+        y2 = br_strategy
+        optimistic = br_value
 
-    optimistic = padded_value if need_solution else br_value
     if pessimistic_mode == "best_response":
-        pessimistic = br_value
-        pes_strategy = br_strategy
+        pessimistic, pes_strategy = br_value, br_strategy
     else:
-        pessimistic = padded_value
-        pes_strategy = y2
+        pessimistic, pes_strategy = optimistic, y2
 
-    reward_for_criterion = pessimistic if criterion == "pessimistic" else optimistic
-    strategy_for_criterion = pes_strategy if criterion == "pessimistic" else (y2 if y2 is not None else br_strategy)
+    if criterion == "pessimistic":
+        reward_for_criterion, strategy_for_criterion = pessimistic, pes_strategy
+    else:
+        reward_for_criterion, strategy_for_criterion = optimistic, y2
     impact = reward_for_criterion - naive
-    exploit_probability = float(np.asarray(strategy_for_criterion)[new_mask].sum()) if new_path_count else 0.0
+    exploit_probability = float(strategy_for_criterion[new_mask].sum()) if new_path_count else 0.0
 
     naive_mixed = float(-(np.asarray(x1) @ game1.matrix @ np.asarray(y1))) if y1 is not None else None
     dominance = _classify_dominance(column_rewards, new_mask, y1, naive_mixed)

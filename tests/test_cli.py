@@ -1,4 +1,7 @@
+import hashlib
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +196,77 @@ def test_invalid_graph_document_exits_one(tmp_path, capsys, fixture_dir):
     )
     assert code == 1
     assert "no entry nodes" in err
+
+
+@pytest.mark.parametrize(
+    "document, edit, named",
+    [
+        ("params", {"cap": "x"}, "cap"),
+        ("params", {"honeypot_cost": None}, "honeypot_cost"),
+        ("params", {"esc": math.inf}, "esc"),
+        ("params", {"terminate_on_capture": "no"}, "terminate_on_capture"),
+        ("graph", {"nodes": 5}, "'nodes'"),
+        ("graph", {"edges": None}, "'edges'"),
+        ("graph", {"value": math.nan}, "node 2"),
+        ("graph", {"value": math.inf}, "node 2"),
+        ("graph", {"value": True}, "node 2"),
+    ],
+)
+def test_bad_input_rejected_when_loaded(fixture_dir, tmp_path, capsys, document, edit, named):
+    graph = json.loads((fixture_dir / "line3.json").read_text())
+    params = json.loads((fixture_dir / "line3_params.json").read_text())
+    if "value" in edit:
+        graph["nodes"][1]["value"] = edit["value"]
+    else:
+        (graph if document == "graph" else params).update(edit)
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    (tmp_path / "p.json").write_text(json.dumps(params))
+    code, out, err = run(capsys, "solve", "-g", str(tmp_path / "g.json"), "-p", str(tmp_path / "p.json"))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert named in err
+
+
+def golden_commands():
+    """Command matrix whose stdout is pinned by ``cli_digests.json``: every
+    subcommand and output mode on line3 and tree7, and a few net20 runs."""
+    out = []
+    for name in ("line3", "tree7"):
+        for fmt in ("csv", "json"):
+            out.append(f"{name} solve --format {fmt}")
+            out.append(f"{name} paths --format {fmt}")
+            for crit in ("pes", "opt"):
+                for mode in ("best_response", "game2_ne"):
+                    out.append(f"{name} zeroday-scan --criterion {crit} --pessimistic-y {mode} --format {fmt}")
+            out.append(f"{name} evaluate --defender greedy --attacker random --format {fmt}")
+            out.append(f"{name} sweep --param honeypots --values 0 1 2 --format {fmt}")
+        out.append(f"{name} evaluate --defender nash --attacker nash")
+        out.append(f"{name} sweep --param esc --values 1 5 9 --format json")
+        for strategy in ("alpha", "lp", "nature", "critical", "random", "none"):
+            for crit in ("pes", "opt"):
+                out.append(f"{name} mitigate --strategy {strategy} --criterion {crit}")
+    return out + [
+        "net20 solve --format csv",
+        "net20 zeroday-scan --criterion pes --format csv",
+        "net20 mitigate --strategy alpha --criterion pes",
+        "net20 mitigate --strategy critical --add-honeypot --criterion opt",
+        "net20 mitigate --strategy nature --criterion pes",
+    ]
+
+
+GOLDEN_DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", golden_commands())
+def test_cli_output_matches_golden_digest(fixture_dir, capsys, command):
+    name, subcommand, *options = command.split()
+    code, out, _ = run(
+        capsys, subcommand, "-g", str(fixture_dir / f"{name}.json"), "-p",
+        str(fixture_dir / f"{name}_params.json"), *options,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command]
 
 
 def test_repo_fixture_files_match_builders(fixture_dir):

@@ -55,6 +55,24 @@ def test_params_validation():
         load_params("{nope")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cap", "x"),
+        ("cap", math.nan),
+        ("esc", math.inf),
+        ("honeypot_cost", None),
+        ("honeypot_cost", -math.inf),
+        ("attack_cost_per_hop", True),
+        ("terminate_on_capture", "no"),
+        ("terminate_on_capture", 1),
+    ],
+)
+def test_params_reject_non_finite_and_mistyped_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        load_params({field: value})
+
+
 def test_action_counts_small(line3):
     graph, params, _, _ = line3
     actions = defender_actions(graph, params)

@@ -57,6 +57,12 @@ def test_document_round_trip():
         (lambda d: d["edges"].clear(), "no path from any entry node to any target node"),
         (lambda d: d["nodes"][1].update(value=-1.0), "for node 2"),
         (lambda d: d["nodes"][1].update(role="weird"), "unknown role 'weird'"),
+        (lambda d: d["nodes"][1].update(value=float("nan")), "value nan for node 2"),
+        (lambda d: d["nodes"][1].update(value=float("inf")), "value inf for node 2"),
+        (lambda d: d["nodes"][1].update(value=True), "value True for node 2"),
+        (lambda d: d["nodes"][1].update(value="1"), "value '1' for node 2"),
+        (lambda d: d.update(nodes=5), "'nodes' must be a list"),
+        (lambda d: d.update(edges=None), "'edges' must be a list"),
     ],
 )
 def test_validation_diagnostics(mutate, message):

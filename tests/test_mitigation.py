@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from decoygraph.game import GameParams, build_matrix
+from decoygraph import mitigation
+from decoygraph.game import GameParams, build_matrix, pure_strategy
 from decoygraph.graph import NodeRecord, augment, enumerate_attack_paths, graph_from_parts
 from decoygraph.lp import solve_zero_sum
 from decoygraph.mitigation import (
+    MitigationPlan,
     alpha_mitigation,
     critical_point_mitigation,
     evaluate_mitigation,
@@ -121,8 +123,6 @@ class TestNatureGame:
     def test_rejects_unknown_kinds(self, line3):
         graph, params, game, sol = line3
         rows = scan_candidates(graph, params, solution=sol)[:1]
-        with pytest.raises(ValueError, match="mitigation_kind"):
-            nature_game(game, sol.defender_strategy, rows, mitigation_kind="prayer")
         with pytest.raises(ValueError, match="criterion"):
             nature_game(game, sol.defender_strategy, rows, criterion="hopeful")
 
@@ -252,3 +252,70 @@ class TestEvaluateMitigation:
         metrics = evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion="optimistic")
         assert 0.0 <= metrics.capture_after <= 1.0
         assert len(metrics.outcomes) == len(rows)
+
+
+def oracle_columns(graph, params, policy, actions, edge, pins):
+    """Attacker reward and capture probability of every path of the graph
+    augmented with ``edge``, against ``policy`` plus ``pins``, from the
+    literal per-node reward and a set intersection per allocation."""
+    graph2 = augment(graph, edge)
+    support = [(a, p) for a, p in zip(actions, policy) if p > 1e-12]
+    rewards, captures = [], []
+    for path in enumerate_attack_paths(graph2):
+        hops = set(zip(path.nodes, path.nodes[1:]))
+        rewards.append(-sum(p * literal_reward(graph.values, graph2.edges, params, a, path.nodes, pins)
+                            for a, p in support))
+        captures.append(sum(p for a, p in support
+                            if hops & ({graph2.edges[e] for e in a} | set(pins))))
+    return rewards, captures
+
+
+def best_response_captures(rewards, captures):
+    best = max(rewards)
+    return [c for r, c in zip(rewards, captures) if r >= best - 1e-9]
+
+
+@pytest.mark.parametrize("name, stride", [("line3", 1), ("tree7", 1), ("net20", 12)])
+def test_pessimistic_outcomes_match_literal_oracle(request, name, stride):
+    graph, params, game, sol = request.getfixturevalue(name)
+    rows = scan_candidates(graph, params, solution=sol)
+    sample = rows[::stride]
+    # critical-point boosting leaves the fixtures' equilibria unchanged, so
+    # one plan also moves half the base policy's mass onto the last action
+    shifted = (sol.defender_strategy + pure_strategy(len(game.actions), len(game.actions) - 1)) / 2
+    plans = (
+        none_mitigation(),
+        alpha_mitigation(rows, k=1),
+        critical_point_mitigation(game, params, rows, add_honeypot=True),
+        MitigationPlan(kind="critical_point", pinned_edges=(rows[-1].edge,), modified_policy=shifted),
+    )
+    for plan in plans:
+        policy = sol.defender_strategy if plan.modified_policy is None else plan.modified_policy
+        metrics = evaluate_mitigation(plan, game, sol.defender_strategy, sample)
+        assert [o.edge for o in metrics.outcomes] == [r.edge for r in sample]
+        for o in metrics.outcomes:
+            before = oracle_columns(graph, params, sol.defender_strategy, game.actions, o.edge, ())
+            after = oracle_columns(graph, params, policy, game.actions, o.edge, plan.pinned_edges)
+            assert o.reward_before == pytest.approx(max(before[0]), rel=1e-12, abs=1e-9)
+            assert o.reward_after == pytest.approx(max(after[0]), rel=1e-12, abs=1e-9)
+            assert any(o.capture_before == pytest.approx(c, abs=1e-12) for c in best_response_captures(*before))
+            assert any(o.capture_after == pytest.approx(c, abs=1e-12) for c in best_response_captures(*after))
+
+
+@pytest.mark.parametrize("criterion", ["pessimistic", "optimistic"])
+def test_paths_enumerated_once_per_candidate(tree7, monkeypatch, criterion):
+    graph, params, game, sol = tree7
+    rows = scan_candidates(graph, params, solution=sol)
+    plan = alpha_mitigation(rows, k=1)
+    calls = []
+    enumerate_paths = mitigation.enumerate_attack_paths
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return enumerate_paths(*args, **kwargs)
+
+    monkeypatch.setattr(mitigation, "enumerate_attack_paths", counted)
+    for _ in range(2):
+        calls.clear()
+        evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion=criterion)
+        assert len(calls) == len(rows)
