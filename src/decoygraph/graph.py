@@ -93,6 +93,14 @@ class AttackGraph:
             adj[u].append((v, eid))
         return {u: tuple(sorted(out)) for u, out in adj.items()}
 
+    @cached_property
+    def predecessors(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Map node -> tuple of (predecessor, edge id), predecessor-sorted."""
+        adj: dict[int, list[tuple[int, int]]] = {n.id: [] for n in self.nodes}
+        for eid, (u, v) in enumerate(self.edges):
+            adj[v].append((u, eid))
+        return {v: tuple(sorted(into)) for v, into in adj.items()}
+
     def value(self, node_id: int) -> float:
         return self.values[node_id]
 
@@ -207,14 +215,11 @@ def _forward_reachable(graph: AttackGraph, sources=None) -> set[int]:
 
 def _backward_reachable(graph: AttackGraph) -> set[int]:
     """Nodes from which some target node can be reached (targets included)."""
-    preds: dict[int, list[int]] = {n.id: [] for n in graph.nodes}
-    for u, v in graph.edges:
-        preds[v].append(u)
     frontier = list(graph.target_ids)
     seen = set(frontier)
     while frontier:
         v = frontier.pop()
-        for u in preds[v]:
+        for u, _ in graph.predecessors[v]:
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -269,8 +274,87 @@ def enumerate_attack_paths(
     for start in start_nodes:
         extend(start, [start], [], {start})
 
-    found.sort(key=lambda item: (item[0][0], item[0][-1], item[0]))
+    found.sort(key=lambda item: _canonical_order(item[0]))
     return tuple(AttackPath(nodes=n, edges=e) for n, e in found)
+
+
+def _canonical_order(nodes: tuple[int, ...]):
+    """Sort key of a path's node sequence: entry id, target id, then the sequence."""
+    return (nodes[0], nodes[-1], nodes)
+
+
+def augmented_paths(
+    graph: AttackGraph,
+    base_paths,
+    edges,
+    *,
+    limit: int = DEFAULT_PATH_LIMIT,
+) -> list[tuple[AttackPath, ...]]:
+    """``enumerate_attack_paths(augment(graph, edge), limit=limit)`` for each
+    edge in ``edges``, built from ``base_paths``, which must be
+    ``enumerate_attack_paths(graph)``.
+
+    A path of an augmented graph either avoids the new edge (u, v), and is
+    then a base path, or takes it once: a simple entry-to-u prefix, then
+    (u, v), then a simple v-to-target suffix that shares no node with the
+    prefix. Only those new paths are enumerated, from prefix and suffix
+    tables that the edges of one call share, and merged into the base paths
+    in the canonical order. Raises :class:`EnumerationLimitError` exactly
+    when full enumeration of one of the augmented graphs would.
+    """
+    entries, targets = set(graph.entry_ids), set(graph.target_ids)
+    prefixes: dict[int, list] = {}
+    suffixes: dict[int, list] = {}
+    new_id = len(graph.edges)
+    out = []
+    for u, v in edges:
+        _check_new_edge(graph, u, v)
+        if len(base_paths) > limit:
+            raise EnumerationLimitError(f"path count exceeds limit {limit}")
+        if u not in prefixes:
+            prefixes[u] = [
+                (set(nodes), nodes[::-1], eids[::-1])
+                for nodes, eids in _simple_walks(graph.predecessors, u, entries)
+            ]
+        if v not in suffixes:
+            suffixes[v] = _simple_walks(graph.successors, v, targets)
+        new = []
+        for on_prefix, pre_nodes, pre_edges in prefixes[u]:
+            for suf_nodes, suf_edges in suffixes[v]:
+                if on_prefix.isdisjoint(suf_nodes):
+                    if len(base_paths) + len(new) >= limit:
+                        raise EnumerationLimitError(f"path count exceeds limit {limit}")
+                    new.append(AttackPath(nodes=pre_nodes + suf_nodes, edges=pre_edges + (new_id,) + suf_edges))
+        if new:
+            out.append(tuple(sorted((*base_paths, *new), key=lambda p: _canonical_order(p.nodes))))
+        else:
+            out.append(tuple(base_paths))
+    return out
+
+
+def _simple_walks(neighbours, start: int, ends: set[int]):
+    """Every simple walk from ``start`` along ``neighbours`` (node -> pairs
+    of (next node, edge id)) that stops at a node of ``ends``, as (node
+    sequence, edge sequence) in walk order."""
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    node_seq, edge_seq, on_walk = [start], [], {start}
+
+    def extend(node: int):
+        if node in ends:
+            found.append((tuple(node_seq), tuple(edge_seq)))
+        for nxt, eid in neighbours[node]:
+            if nxt in on_walk:
+                continue
+            node_seq.append(nxt)
+            edge_seq.append(eid)
+            on_walk.add(nxt)
+            extend(nxt)
+            on_walk.remove(nxt)
+            edge_seq.pop()
+            node_seq.pop()
+
+    extend(start)
+    return found
 
 
 def generate_zero_day_candidates(graph: AttackGraph) -> tuple[ZeroDayCandidate, ...]:
@@ -309,6 +393,11 @@ def augment(graph: AttackGraph, edge) -> AttackGraph:
     The new edge gets id ``len(graph.edges)``, preserving all existing ids.
     """
     u, v = edge
+    _check_new_edge(graph, u, v)
+    return AttackGraph(nodes=graph.nodes, edges=graph.edges + ((u, v),))
+
+
+def _check_new_edge(graph: AttackGraph, u, v) -> None:
     for endpoint in (u, v):
         if endpoint not in graph.node_ids:
             raise GraphError(f"edge ({u}, {v}) references unknown node {endpoint}")
@@ -316,4 +405,3 @@ def augment(graph: AttackGraph, edge) -> AttackGraph:
         raise GraphError(f"self-loop edge ({u}, {v})")
     if (u, v) in graph.edge_index:
         raise GraphError(f"edge ({u}, {v}) already present")
-    return AttackGraph(nodes=graph.nodes, edges=graph.edges + ((u, v),))

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import GameInstance, GameParams, PathColumns, build_matrix, defender_actions
-from .graph import AttackGraph, NodeRecord, augment, enumerate_attack_paths, graph_from_parts
+from .graph import AttackGraph, NodeRecord, augment, augmented_paths, graph_from_parts
 from .lp import GameSolution, LinearProgram, solve_lp, solve_zero_sum
-from .zeroday import rank_records
+from .zeroday import normalize_criterion, rank_records
 
 PREVENTION_TOL = 1e-6
 
@@ -156,10 +156,59 @@ def _support(actions, policy):
     return [actions[i] for i in index], probs[index].tolist()
 
 
-def _augmented_columns(graph: AttackGraph, edge) -> PathColumns:
-    """Path columns of ``graph`` with the candidate ``edge`` added."""
-    graph2 = augment(graph, edge)
-    return PathColumns(graph2, enumerate_attack_paths(graph2))
+def _candidate_paths(graph: AttackGraph, paths, edges):
+    """Per candidate edge: the path set of ``graph`` augmented with it
+    (``paths`` is the original one), the mask of the paths that take the new
+    edge, and those new paths."""
+    out = []
+    for paths2 in augmented_paths(graph, paths, edges):
+        is_new = np.array([len(graph.edges) in path.edges for path in paths2], dtype=bool)
+        out.append((paths2, is_new, [path for path, new in zip(paths2, is_new) if new]))
+    return out
+
+
+def _new_path_scores(graph: AttackGraph, params, support, pins, edges, new_paths):
+    """Attacker reward and capture probability of the paths that each
+    candidate in ``edges`` adds (``new_paths``, one list per candidate),
+    against a mixed defender with ``pins``: one pair of arrays per candidate.
+
+    Every new path takes its own candidate edge as edge id E. The paths of
+    the candidates whose edge is pinned are scored together on ``graph``
+    augmented with one of those edges, the others on ``graph`` augmented
+    with one of theirs. Either way edge E of a path is covered exactly when
+    its own edge is pinned, and every other pin is an original edge or an
+    off-graph location, as on the path's own augmented graph, so each path
+    meets the allocation rows its own graph would give.
+    """
+    pinned = {tuple(p) for p in pins}
+    flat, own_pinned, stand_ins = [], [], {}
+    for edge, paths in zip(edges, new_paths):
+        flat.extend(paths)
+        own_pinned.extend([edge in pinned] * len(paths))
+        if paths:
+            stand_ins.setdefault(edge in pinned, edge)
+    own_pinned = np.array(own_pinned, dtype=bool)
+    rewards = np.empty(len(flat))
+    capture = np.empty(len(flat))
+    for covered, stand_in in stand_ins.items():
+        group = own_pinned == covered
+        columns = PathColumns(augment(graph, stand_in), [path for path, g in zip(flat, group) if g])
+        rewards[group], capture[group] = _mixed_columns(columns, params, support, pins)
+    bounds = np.cumsum([len(paths) for paths in new_paths])[:-1]
+    return list(zip(np.split(rewards, bounds), np.split(capture, bounds)))
+
+
+def _spliced(old, new, is_new):
+    """Per-path arrays in one candidate's augmented path order, from those
+    of the old paths and those of its new paths (pairs of reward and
+    capture)."""
+    out = []
+    for old_values, new_values in zip(old, new):
+        merged = np.empty(is_new.size)
+        merged[~is_new] = old_values
+        merged[is_new] = new_values
+        out.append(merged)
+    return out
 
 
 def _mixed_columns(columns: PathColumns, params, support, pinned):
@@ -193,8 +242,7 @@ def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimisti
     rows = list(report)
     if not rows:
         raise ValueError("no candidate locations for the nature game")
-    if criterion not in ("pessimistic", "optimistic"):
-        raise ValueError(f"criterion must be 'pessimistic' or 'optimistic', got {criterion!r}")
+    criterion = normalize_criterion(criterion)
 
     n = len(rows)
     matrix = np.empty((n, n))
@@ -202,9 +250,15 @@ def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimisti
         unmitigated = rec.pessimistic if criterion == "pessimistic" else rec.optimistic
         matrix[:, j] = -unmitigated
     support = _support(game1.actions, x1)
-    for i, rec in enumerate(rows):
-        columns = _augmented_columns(game1.graph, rec.edge)
-        rewards, _ = _mixed_columns(columns, game1.params, support, (rec.edge,))
+    # each location is a non-edge of the original graph, so its pin covers no
+    # old path and only costs honeypot_cost: the old paths score the same
+    # against every location
+    old = _mixed_columns(PathColumns(game1.graph, game1.paths), game1.params, support, (rows[0].edge,))
+    edges = [tuple(rec.edge) for rec in rows]
+    candidates = _candidate_paths(game1.graph, game1.paths, edges)
+    for i, (edge, (_, is_new, new_paths)) in enumerate(zip(edges, candidates)):
+        (new,) = _new_path_scores(game1.graph, game1.params, support, (edge,), [edge], [new_paths])
+        rewards, _ = _spliced(old, new, is_new)
         matrix[i, i] = -float(np.max(rewards))
     solution = solve_zero_sum(matrix)
     return NatureGame(locations=tuple(r.edge for r in rows), matrix=matrix, solution=solution)
@@ -270,33 +324,50 @@ def evaluate_mitigation(
 ) -> MitigationMetrics:
     """Score a plan over every scanned candidate.
 
-    Each candidate's paths are enumerated once, and the base policy and the
-    mitigated defender (modified or base policy plus pins) are both scored
-    on them. The attacker's criterion strategy is recomputed against the
-    mitigated defender: a best response (pessimistic) or the equilibrium
-    attacker strategy of the pinned augmented game (optimistic). A candidate counts as prevented when the mitigated
-    attacker reward does not exceed what the attacker could already get on
-    the original graph against the same mitigated defender (within
-    ``PREVENTION_TOL``), so the zero-day yields no residual benefit.
+    The base policy (no pins) and the mitigated defender (modified or base
+    policy plus pins) are scored once on the original paths. Per candidate,
+    only the paths its edge adds are enumerated and scored, and their scores
+    are spliced into the original ones in path order. The attacker's
+    criterion (``"pessimistic"``/``"pes"`` or ``"optimistic"``/``"opt"``)
+    strategy is recomputed against the mitigated defender: a best response
+    (pessimistic) or the equilibrium attacker strategy of the pinned
+    augmented game (optimistic). A candidate counts as prevented when the
+    mitigated attacker reward does not exceed what the attacker could
+    already get on the original graph against the same mitigated defender
+    (within ``PREVENTION_TOL``), so the zero-day yields no residual benefit.
     Capture proportions are exact expectations under both strategies.
     """
-    params = game1.params
+    criterion = normalize_criterion(criterion)
+    graph, params = game1.graph, game1.params
     policy = plan.modified_policy if plan.modified_policy is not None else np.asarray(x_base)
     pins = tuple(tuple(p) for p in plan.pinned_edges)
     before = _support(game1.actions, x_base)
     after = _support(game1.actions, policy)
-    base_rewards, _ = _mixed_columns(PathColumns(game1.graph, game1.paths), params, after, pins)
-    baseline = float(np.max(base_rewards))
+    # a pin on a candidate edge covers no original path, and deploys one
+    # honeypot whether or not that candidate's edge is added
+    base_columns = PathColumns(graph, game1.paths)
+    old_before = _mixed_columns(base_columns, params, before, ())
+    old_after = _mixed_columns(base_columns, params, after, pins)
+    baseline = float(np.max(old_after[0]))
+    rows = list(report)
+    edges = [tuple(rec.edge) for rec in rows]
+    candidates = _candidate_paths(graph, game1.paths, edges)
+    new_paths = [new for _, _, new in candidates]
+    new_before = _new_path_scores(graph, params, before, (), edges, new_paths)
+    new_after = _new_path_scores(graph, params, after, pins, edges, new_paths)
+    actions2 = None  # the same for every candidate: each augmented graph has E + 1 edges
     outcomes = []
-    for rec in report:
-        columns = _augmented_columns(game1.graph, rec.edge)
-        before_rewards, before_capture = _mixed_columns(columns, params, before, ())
-        after_rewards, after_capture = _mixed_columns(columns, params, after, pins)
+    for rec, (paths2, is_new, _), new_b, new_a in zip(rows, candidates, new_before, new_after):
+        before_rewards, before_capture = _spliced(old_before, new_b, is_new)
+        after_rewards, after_capture = _spliced(old_after, new_a, is_new)
         b_idx = int(np.argmax(before_rewards))
 
         if criterion == "optimistic":
-            actions2 = defender_actions(columns.graph, params)
-            y2 = solve_zero_sum(columns.payoff(params, actions2, pins)).attacker_strategy
+            graph2 = augment(graph, rec.edge)
+            if actions2 is None:
+                actions2 = defender_actions(graph2, params)
+            pinned_game = PathColumns(graph2, paths2).payoff(params, actions2, pins)
+            y2 = solve_zero_sum(pinned_game).attacker_strategy
             reward_after = float(after_rewards @ y2)
             capture_after = float(after_capture @ y2)
         else:

@@ -17,8 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, GameParams, build_matrix, pad_strategy, pure_strategy
-from .graph import AttackGraph, augment, generate_zero_day_candidates
+from .game import (
+    GameInstance,
+    GameParams,
+    build_matrix,
+    defender_actions,
+    pad_strategy,
+    payoff_matrix,
+    pure_strategy,
+)
+from .graph import AttackGraph, augment, augmented_paths, generate_zero_day_candidates
 from .lp import solve_zero_sum
 
 CRITERIA = ("pessimistic", "optimistic")
@@ -99,7 +107,10 @@ def evaluate_candidate(
         raise ValueError(f"pessimistic_mode must be one of {PESSIMISTIC_MODES}")
 
     graph2 = augment(game1.graph, edge)
-    game2 = build_matrix(graph2, game1.params)
+    (paths2,) = augmented_paths(game1.graph, game1.paths, [edge])
+    actions2 = defender_actions(graph2, game1.params)
+    matrix2 = payoff_matrix(graph2, game1.params, actions2, paths2)
+    game2 = GameInstance(graph=graph2, params=game1.params, actions=actions2, paths=paths2, matrix=matrix2)
     xhat = pad_strategy(x1, game1, game2)
 
     naive = float(np.max(-(np.asarray(x1) @ game1.matrix)))

@@ -9,6 +9,7 @@ from decoygraph.graph import (
     GraphError,
     NodeRecord,
     augment,
+    augmented_paths,
     enumerate_attack_paths,
     generate_zero_day_candidates,
     graph_from_parts,
@@ -235,3 +236,60 @@ def test_augment_superset_for_usable_candidates(g):
             continue
         after = set(p.nodes for p in enumerate_attack_paths(augment(g, cand.edge)))
         assert base <= after
+
+
+@st.composite
+def role_digraphs(draw):
+    """Small digraphs with cycles allowed, several entries and targets, and
+    entries and targets that may sit in the middle of paths."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    ids = list(range(n))
+    roles = draw(st.lists(st.sampled_from(("entry", "intermediate", "target")), min_size=n, max_size=n))
+    if "entry" not in roles or "target" not in roles:
+        roles[0], roles[-1] = "entry", "target"
+    possible = [(u, v) for u in ids for v in ids if u != v]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True, max_size=16))
+    keep = (roles.index("entry"), roles.index("target"))
+    if keep not in edges:
+        edges = edges + [keep]  # keep the graph valid
+    return graph_from_parts([NodeRecord(i, float(i), roles[i]) for i in ids], edges)
+
+
+def _paths_or_limit(enumerate_paths):
+    try:
+        return enumerate_paths()
+    except EnumerationLimitError as exc:
+        return str(exc)
+
+
+@given(role_digraphs(), st.integers(min_value=1, max_value=40))
+@settings(max_examples=80, deadline=None)
+def test_augmented_paths_equal_full_enumeration(g, limit):
+    base = enumerate_attack_paths(g)
+    non_edges = [(u, v) for u in g.node_ids for v in g.node_ids if u != v and (u, v) not in g.edge_index]
+    assert augmented_paths(g, base, non_edges) == [enumerate_attack_paths(augment(g, e)) for e in non_edges]
+    for edge in non_edges:
+        limited = _paths_or_limit(lambda: enumerate_attack_paths(augment(g, edge), limit=limit))
+        assert _paths_or_limit(lambda: augmented_paths(g, base, [edge], limit=limit)[0]) == limited
+
+
+def test_augmented_paths_through_cycles_and_inner_roles():
+    # entry 3 and target 2 sit inside longer paths, and 1 -> 2 -> 4 -> 1 is a cycle
+    nodes = [
+        NodeRecord(0, 0.0, "entry"),
+        NodeRecord(1, 1.0, "intermediate"),
+        NodeRecord(2, 2.0, "target"),
+        NodeRecord(3, 0.0, "entry"),
+        NodeRecord(4, 1.0, "intermediate"),
+        NodeRecord(5, 3.0, "target"),
+    ]
+    g = graph_from_parts(nodes, [(0, 1), (1, 2), (2, 4), (4, 1), (4, 3), (3, 5), (0, 3)])
+    base = enumerate_attack_paths(g)
+    edges = [(2, 5), (4, 5), (3, 1), (5, 0), (1, 3)]
+    for edge, paths in zip(edges, augmented_paths(g, base, edges)):
+        assert paths == enumerate_attack_paths(augment(g, edge))
+        assert len(paths) > len(base) or edge == (5, 0)
+    with pytest.raises(EnumerationLimitError, match="exceeds limit 3"):
+        augmented_paths(g, base, [(1, 3)], limit=3)
+    with pytest.raises(GraphError, match="already present"):
+        augmented_paths(g, base, [(0, 1)])

@@ -1,6 +1,11 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import decoygraph.cli
 from decoygraph import mitigation
 from decoygraph.game import GameParams, build_matrix, pure_strategy
 from decoygraph.graph import NodeRecord, augment, enumerate_attack_paths, graph_from_parts
@@ -253,6 +258,19 @@ class TestEvaluateMitigation:
         assert 0.0 <= metrics.capture_after <= 1.0
         assert len(metrics.outcomes) == len(rows)
 
+    def test_criterion_aliases_and_unknown_values(self, tree7):
+        graph, params, game, sol = tree7
+        rows = scan_candidates(graph, params, solution=sol)[:4]
+        plan = alpha_mitigation(rows, k=1)
+        x = sol.defender_strategy
+        optimistic = evaluate_mitigation(plan, game, x, rows, criterion="optimistic")
+        pessimistic = evaluate_mitigation(plan, game, x, rows, criterion="pessimistic")
+        assert optimistic.outcomes != pessimistic.outcomes
+        assert evaluate_mitigation(plan, game, x, rows, criterion="opt").outcomes == optimistic.outcomes
+        assert evaluate_mitigation(plan, game, x, rows, criterion="pes").outcomes == pessimistic.outcomes
+        with pytest.raises(ValueError, match="criterion"):
+            evaluate_mitigation(plan, game, x, rows, criterion="hopeful")
+
 
 def oracle_columns(graph, params, policy, actions, edge, pins):
     """Attacker reward and capture probability of every path of the graph
@@ -304,18 +322,80 @@ def test_pessimistic_outcomes_match_literal_oracle(request, name, stride):
 
 @pytest.mark.parametrize("criterion", ["pessimistic", "optimistic"])
 def test_paths_enumerated_once_per_candidate(tree7, monkeypatch, criterion):
+    # each candidate's paths come from one incremental call for the whole
+    # report, never from a full enumeration of an augmented graph
     graph, params, game, sol = tree7
     rows = scan_candidates(graph, params, solution=sol)
     plan = alpha_mitigation(rows, k=1)
-    calls = []
-    enumerate_paths = mitigation.enumerate_attack_paths
+    full, incremental = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return enumerate_paths(*args, **kwargs)
+    def counted(calls, function):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return function(*args, **kwargs)
 
-    monkeypatch.setattr(mitigation, "enumerate_attack_paths", counted)
-    for _ in range(2):
-        calls.clear()
-        evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion=criterion)
-        assert len(calls) == len(rows)
+        return wrapper
+
+    for module in (decoygraph.graph, decoygraph.game, decoygraph.zeroday, decoygraph.mitigation, decoygraph.cli):
+        if hasattr(module, "enumerate_attack_paths"):
+            monkeypatch.setattr(module, "enumerate_attack_paths", counted(full, module.enumerate_attack_paths))
+    monkeypatch.setattr(mitigation, "augmented_paths", counted(incremental, mitigation.augmented_paths))
+    first = evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion=criterion)
+    assert full == []
+    assert [[tuple(e) for e in args[2]] for args in incremental] == [[r.edge for r in rows]]
+    again = evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion=criterion)
+    assert full == []
+    assert again.outcomes == first.outcomes
+
+
+def _sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def mitigation_digests(name, graph, params, game, sol):
+    """sha256 over hex-float outcomes of every pinned plan kind under both
+    criteria, the nature matrix over the top 10 candidates, and the
+    pessimistic scan report the plans are built from. Optimistic plans are
+    scored on every third candidate, because each one solves a game."""
+    rows = scan_candidates(graph, params, solution=sol)
+    x = sol.defender_strategy
+    plans = {
+        "none": none_mitigation(),
+        "alpha1": alpha_mitigation(rows, k=1),
+        "alpha3": alpha_mitigation(rows, k=3),
+        "lp": lp_mitigation(rows, budget=1.0),
+        "critical+honeypot": critical_point_mitigation(game, params, rows, add_honeypot=True),
+        "random": random_mitigation(rows, 7),
+    }
+    out = {
+        f"{name} scan": _sha256_lines(
+            f"{r.edge} {r.status} {r.naive.hex()} {r.optimistic.hex()} {r.pessimistic.hex()} "
+            f"{r.impact.hex()} {r.new_path_count} {r.exploit_probability.hex()} {r.dominance}"
+            for r in rows
+        )
+    }
+    for criterion in ("pessimistic", "optimistic"):
+        for label, plan in plans.items():
+            subset = rows if criterion == "pessimistic" else rows[::3]
+            metrics = evaluate_mitigation(plan, game, x, subset, criterion=criterion)
+            lines = [
+                f"{o.edge} {o.reward_before.hex()} {o.reward_after.hex()} "
+                f"{o.capture_before.hex()} {o.capture_after.hex()} {o.prevented}"
+                for o in metrics.outcomes
+            ]
+            lines.append(f"{metrics.effectiveness.hex()} {metrics.capture_before.hex()} {metrics.capture_after.hex()}")
+            out[f"{name} {label} {criterion}"] = _sha256_lines(lines)
+        nature = nature_game(game, x, rows[:10], criterion=criterion)
+        out[f"{name} nature {criterion}"] = _sha256_lines(
+            " ".join(float(v).hex() for v in row) for row in nature.matrix
+        )
+    return out
+
+
+MITIGATION_DIGESTS = json.loads((Path(__file__).parent / "mitigation_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", ["line3", "tree7", "net20"])
+def test_mitigation_outcomes_match_golden_digest(request, name):
+    digests = mitigation_digests(name, *request.getfixturevalue(name))
+    assert digests == {k: v for k, v in MITIGATION_DIGESTS.items() if k.split()[0] == name}
