@@ -198,6 +198,22 @@ class PathColumns:
                 total_value += v
             self.totals[j] = total_value
 
+    @classmethod
+    def spliced(cls, graph: AttackGraph, paths, old: "PathColumns", is_new) -> "PathColumns":
+        """``PathColumns(graph, paths)`` for a path set that holds
+        ``old.paths``, in order, where the bool array ``is_new`` is false.
+        Those columns are copied from ``old``, which must be built on a graph
+        with the same edge ids, and only the new paths are walked."""
+        fresh = cls(graph, [path for path, new in zip(paths, is_new) if new])
+        out = cls(graph, ())
+        out.paths = paths
+        for name in ("incidence", "weights", "totals"):
+            merged = np.empty(getattr(old, name).shape[:-1] + (len(paths),))
+            merged[..., ~is_new] = getattr(old, name)
+            merged[..., is_new] = getattr(fresh, name)
+            setattr(out, name, merged)
+        return out
+
     def payoff(self, params: GameParams, actions, pinned=()) -> np.ndarray:
         """Defender reward of every allocation in ``actions`` against every path.
 
@@ -215,20 +231,25 @@ class PathColumns:
                 for j, path in enumerate(self.paths):
                     matrix[i, j] = reward(self.graph, params, action, path, pinned)
             return matrix
+        return self.additive_payoff(params, *allocation_rows(self.graph, actions, pinned))
+
+    def additive_payoff(self, params: GameParams, rows, deployed) -> np.ndarray:
+        """:meth:`payoff` without ``terminate_on_capture``, for allocations
+        given as the ``rows`` and ``deployed`` counts of
+        :func:`allocation_rows`."""
         hops = self.incidence.sum(axis=0)
         base = -params.esc * self.totals + params.attack_cost_per_hop * hops
-        rows, deployed = _allocation_rows(self.graph, actions, pinned)
         costs = params.honeypot_cost * deployed
         return base[None, :] + (params.cap + params.esc) * (rows @ self.weights) - costs[:, None]
 
     def hits(self, actions, pinned=()) -> np.ndarray:
         """1.0 where allocation i, plus ``pinned``, covers an edge of path j, else 0.0."""
-        rows, _ = _allocation_rows(self.graph, actions, pinned)
+        rows, _ = allocation_rows(self.graph, actions, pinned)
         hits = rows @ self.incidence
         return np.minimum(hits, 1.0, out=hits)
 
 
-def _allocation_rows(graph: AttackGraph, actions, pinned):
+def allocation_rows(graph: AttackGraph, actions, pinned=()):
     """Edge-indicator row of each allocation with the in-graph pins set, and
     the number of distinct honeypot locations each one deploys."""
     pins = {tuple(p) for p in pinned}

@@ -292,7 +292,8 @@ def augmented_paths(
 ) -> list[tuple[AttackPath, ...]]:
     """``enumerate_attack_paths(augment(graph, edge), limit=limit)`` for each
     edge in ``edges``, built from ``base_paths``, which must be
-    ``enumerate_attack_paths(graph)``.
+    ``enumerate_attack_paths(graph)``; any other path set, such as that of
+    a game built with ``entries=``, raises :class:`GraphError`.
 
     A path of an augmented graph either avoids the new edge (u, v), and is
     then a base path, or takes it once: a simple entry-to-u prefix, then
@@ -302,6 +303,8 @@ def augmented_paths(
     in the canonical order. Raises :class:`EnumerationLimitError` exactly
     when full enumeration of one of the augmented graphs would.
     """
+    if tuple(base_paths) != enumerate_attack_paths(graph):
+        raise GraphError("base paths must be every attack path of the graph; a game built with entries= has fewer")
     entries, targets = set(graph.entry_ids), set(graph.target_ids)
     prefixes: dict[int, list] = {}
     suffixes: dict[int, list] = {}

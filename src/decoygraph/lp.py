@@ -79,49 +79,59 @@ class EquilibriumCheck:
     value_residual: float
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] = tableau[row] / tableau[row, col]
+def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int, outer=None) -> None:
+    """Pivot on (row, col); ``outer`` optionally receives the rank-one update
+    so that a loop of pivots on one tableau allocates it once."""
+    tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= np.multiply(factors[:, None], tableau[row], out=outer)
     basis[row] = col
 
 
 def _iterate(tableau, basis, allowed, tol, max_iter):
-    """Run simplex pivots until the (minimization) objective row is optimal."""
+    """Run simplex pivots until the (minimization) objective row is optimal.
+
+    The tableau is updated in place, so the views taken here stay current,
+    and every pivot reuses the same ratio and outer-product buffers.
+    """
     m = tableau.shape[0] - 1
+    every_allowed = bool(allowed.all())
+    reduced = tableau[-1, :-1]
+    rhs = tableau[:m, -1]
+    eligible = np.empty(m, dtype=bool)
+    ratios = np.empty(m)
+    outer = np.empty_like(tableau)
     bland = False
     streak = 0
     for _ in range(max_iter):
-        reduced = tableau[-1, :-1]
         if bland:
-            candidates = np.nonzero((reduced < -tol) & allowed)[0]
+            candidates = ((reduced < -tol) & allowed).nonzero()[0]
             if candidates.size == 0:
                 return
             col = int(candidates[0])
         else:
-            masked = np.where(allowed, reduced, np.inf)
-            col = int(np.argmin(masked))
+            masked = reduced if every_allowed else np.where(allowed, reduced, np.inf)
+            col = int(masked.argmin())
             if masked[col] >= -tol:
                 return
         column = tableau[:m, col]
-        rhs = tableau[:m, -1]
-        eligible = column > tol
-        if not np.any(eligible):
+        np.greater(column, tol, out=eligible)
+        if not eligible.any():
             raise UnboundedError("objective is unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[eligible] = rhs[eligible] / column[eligible]
-        best = np.min(ratios)
+        ratios.fill(np.inf)
+        np.divide(rhs, column, out=ratios, where=eligible)
+        best = ratios.min()
         # tie-break on the smallest basis variable index (anti-cycling aid)
-        tied = np.nonzero(ratios <= best + tol * max(1.0, abs(best)))[0]
-        row = int(min(tied, key=lambda i: basis[i]))
+        tied = (ratios <= best + tol * max(1.0, abs(best))).nonzero()[0]
+        row = int(tied[0]) if tied.size == 1 else min(tied.tolist(), key=basis.__getitem__)
         if best <= tol:
             streak += 1
             if streak > _DEGENERATE_STREAK:
                 bland = True
         else:
             streak = 0
-        _pivot(tableau, basis, row, col)
+        _pivot(tableau, basis, row, col, outer)
     raise SolverError("simplex iteration limit reached")
 
 

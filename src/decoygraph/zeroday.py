@@ -14,15 +14,18 @@ from __future__ import annotations
 import io
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .game import (
     GameInstance,
     GameParams,
+    PathColumns,
+    allocation_rows,
     build_matrix,
+    check_distribution,
     defender_actions,
-    pad_strategy,
     payoff_matrix,
     pure_strategy,
 )
@@ -82,6 +85,119 @@ def _classify_dominance(column_rewards, new_mask, y1, naive_mixed) -> str:
     return "neither"
 
 
+class _Augmentation:
+    """What the candidate edges of one scan share, and the per-candidate step.
+
+    Every augmented graph has the base graph's E edges plus the candidate,
+    which gets id E. So the defender's allocations, their edge-indicator rows
+    and deployment counts, the padded base policy ``xhat`` and the columns
+    of the base paths are the same for every candidate and are built once;
+    the first candidate's graph stands in for all of them. A candidate that
+    adds no path has exactly the base paths, so all such candidates share
+    one augmented matrix, one column-reward vector and one equilibrium.
+    """
+
+    def __init__(self, game1: GameInstance, x1, y1, edges):
+        graph, params = game1.graph, game1.params
+        self.graph, self.params, self.y1 = graph, params, y1
+        self.edges = [tuple(edge) for edge in edges]
+        self.path_sets = augmented_paths(graph, game1.paths, self.edges)
+        self.stand_in = augment(graph, self.edges[0])
+        self.actions = defender_actions(self.stand_in, params)
+        self.rows, self.deployed = allocation_rows(self.stand_in, self.actions)
+        self.base_columns = PathColumns(self.stand_in, game1.paths)
+        x_arr = check_distribution(x1)
+        if x_arr.size != len(game1.actions):
+            raise ValueError("strategy length does not match game-1 action count")
+        index = {action: i for i, action in enumerate(self.actions)}
+        self.xhat = np.zeros(len(self.actions))
+        self.xhat[[index[action] for action in game1.actions]] = x_arr
+        self.naive = float(np.max(-(x_arr @ game1.matrix)))
+        self.naive_mixed = float(-(x_arr @ game1.matrix @ np.asarray(y1))) if y1 is not None else None
+        self.no_path_game = None
+
+    def game(self, k, new_mask) -> "_AugmentedGame":
+        """Candidate k's augmented game; those that add no path share one."""
+        adds_path = bool(new_mask.any())
+        if not adds_path and self.no_path_game is not None:
+            return self.no_path_game
+        paths2 = self.path_sets[k]
+        if self.params.terminate_on_capture:
+            matrix = payoff_matrix(augment(self.graph, self.edges[k]), self.params, self.actions, paths2)
+        else:
+            columns = PathColumns.spliced(self.stand_in, paths2, self.base_columns, new_mask)
+            matrix = columns.additive_payoff(self.params, self.rows, self.deployed)
+        game2 = _AugmentedGame(matrix, self.xhat)
+        if not adds_path:
+            self.no_path_game = game2
+        return game2
+
+    def record(self, k, *, criterion, pessimistic_mode, status, compute_optimistic) -> ZeroDayRecord:
+        """The scan record of candidate k."""
+        paths2 = self.path_sets[k]
+        new_mask = np.array([len(self.graph.edges) in path.edges for path in paths2])
+        new_path_count = int(new_mask.sum())
+        game2 = self.game(k, new_mask)
+        column_rewards = game2.column_rewards
+
+        br_index = int(np.argmax(column_rewards))
+        br_value = float(column_rewards[br_index])
+        br_strategy = pure_strategy(len(paths2), br_index)
+
+        if compute_optimistic or pessimistic_mode == "game2_ne":
+            y2 = game2.attacker_equilibrium
+            optimistic = float(column_rewards @ y2)
+        else:
+            y2 = br_strategy
+            optimistic = br_value
+
+        if pessimistic_mode == "best_response":
+            pessimistic, pes_strategy = br_value, br_strategy
+        else:
+            pessimistic, pes_strategy = optimistic, y2
+
+        if criterion == "pessimistic":
+            reward_for_criterion, strategy_for_criterion = pessimistic, pes_strategy
+        else:
+            reward_for_criterion, strategy_for_criterion = optimistic, y2
+        impact = reward_for_criterion - self.naive
+        exploit_probability = float(strategy_for_criterion[new_mask].sum()) if new_path_count else 0.0
+        dominance = _classify_dominance(column_rewards, new_mask, self.y1, self.naive_mixed)
+
+        return ZeroDayRecord(
+            edge=self.edges[k],
+            status=status,
+            naive=self.naive,
+            optimistic=optimistic,
+            pessimistic=pessimistic,
+            impact=impact,
+            new_path_count=new_path_count,
+            exploit_probability=exploit_probability,
+            dominance=dominance,
+            criterion=criterion,
+            pessimistic_mode=pessimistic_mode,
+        )
+
+
+class _AugmentedGame:
+    """One augmented payoff matrix, the padded base policy's column rewards
+    on it and, when first asked for, its equilibrium attacker strategy."""
+
+    def __init__(self, matrix, xhat):
+        self.matrix = matrix
+        self.column_rewards = -(xhat @ matrix)
+
+    @cached_property
+    def attacker_equilibrium(self):
+        return solve_zero_sum(self.matrix).attacker_strategy
+
+
+def _check_options(criterion, pessimistic_mode) -> str:
+    if pessimistic_mode not in PESSIMISTIC_MODES:
+        raise ValueError(f"pessimistic_mode must be one of {PESSIMISTIC_MODES}")
+    return normalize_criterion(criterion)
+
+
 def evaluate_candidate(
     game1: GameInstance,
     x1,
@@ -101,61 +217,16 @@ def evaluate_candidate(
     ``compute_optimistic`` is false the equilibrium solve of the augmented
     game is skipped and the optimistic column reports the direct
     best-response value (used for rule-dominant entry-to-target edges).
+    ``game1`` must hold every attack path of its graph; a game built with
+    ``entries=`` raises ``ValueError``.
     """
-    criterion = normalize_criterion(criterion)
-    if pessimistic_mode not in PESSIMISTIC_MODES:
-        raise ValueError(f"pessimistic_mode must be one of {PESSIMISTIC_MODES}")
-
-    graph2 = augment(game1.graph, edge)
-    (paths2,) = augmented_paths(game1.graph, game1.paths, [edge])
-    actions2 = defender_actions(graph2, game1.params)
-    matrix2 = payoff_matrix(graph2, game1.params, actions2, paths2)
-    game2 = GameInstance(graph=graph2, params=game1.params, actions=actions2, paths=paths2, matrix=matrix2)
-    xhat = pad_strategy(x1, game1, game2)
-
-    naive = float(np.max(-(np.asarray(x1) @ game1.matrix)))
-    column_rewards = -(xhat @ game2.matrix)
-    new_mask = np.array([len(game1.graph.edges) in path.edges for path in game2.paths])
-    new_path_count = int(new_mask.sum())
-
-    br_index = int(np.argmax(column_rewards))
-    br_value = float(column_rewards[br_index])
-    br_strategy = pure_strategy(len(game2.paths), br_index)
-
-    if compute_optimistic or pessimistic_mode == "game2_ne":
-        y2 = solve_zero_sum(game2.matrix).attacker_strategy
-        optimistic = float(column_rewards @ y2)
-    else:
-        y2 = br_strategy
-        optimistic = br_value
-
-    if pessimistic_mode == "best_response":
-        pessimistic, pes_strategy = br_value, br_strategy
-    else:
-        pessimistic, pes_strategy = optimistic, y2
-
-    if criterion == "pessimistic":
-        reward_for_criterion, strategy_for_criterion = pessimistic, pes_strategy
-    else:
-        reward_for_criterion, strategy_for_criterion = optimistic, y2
-    impact = reward_for_criterion - naive
-    exploit_probability = float(strategy_for_criterion[new_mask].sum()) if new_path_count else 0.0
-
-    naive_mixed = float(-(np.asarray(x1) @ game1.matrix @ np.asarray(y1))) if y1 is not None else None
-    dominance = _classify_dominance(column_rewards, new_mask, y1, naive_mixed)
-
-    return ZeroDayRecord(
-        edge=tuple(edge),
-        status=status,
-        naive=naive,
-        optimistic=optimistic,
-        pessimistic=pessimistic,
-        impact=impact,
-        new_path_count=new_path_count,
-        exploit_probability=exploit_probability,
-        dominance=dominance,
+    criterion = _check_options(criterion, pessimistic_mode)
+    return _Augmentation(game1, x1, y1, [edge]).record(
+        0,
         criterion=criterion,
         pessimistic_mode=pessimistic_mode,
+        status=status,
+        compute_optimistic=compute_optimistic,
     )
 
 
@@ -172,30 +243,31 @@ def scan_candidates(
     pessimistic_mode: str = "best_response",
     solution=None,
 ) -> list[ZeroDayRecord]:
-    """Evaluate every analyzed or rule-dominant candidate edge, ranked."""
-    criterion = normalize_criterion(criterion)
+    """Evaluate every analyzed or rule-dominant candidate edge, ranked.
+
+    Each candidate gets the record :func:`evaluate_candidate` gives it; the
+    work all candidates share is done once per call.
+    """
+    criterion = _check_options(criterion, pessimistic_mode)
     game1 = build_matrix(graph, params)
     if solution is None:
         solution = solve_zero_sum(game1.matrix)
-    x1 = solution.defender_strategy
-    y1 = solution.attacker_strategy
 
     work = [c for c in generate_zero_day_candidates(graph) if c.status in ("analyzed", "dominant")]
-
-    def run(candidate):
-        skip_opt = candidate.status == "dominant" and criterion == "pessimistic"
-        return evaluate_candidate(
-            game1,
-            x1,
-            candidate.edge,
+    if not work:
+        return []
+    shared = _Augmentation(game1, solution.defender_strategy, solution.attacker_strategy, [c.edge for c in work])
+    records = [
+        shared.record(
+            k,
             criterion=criterion,
             pessimistic_mode=pessimistic_mode,
-            y1=y1,
-            status=candidate.status,
-            compute_optimistic=not skip_opt,
+            status=c.status,
+            compute_optimistic=not (c.status == "dominant" and criterion == "pessimistic"),
         )
-
-    return rank_records([run(c) for c in work])
+        for k, c in enumerate(work)
+    ]
+    return rank_records(records)
 
 
 def fmt6(value: float) -> str:

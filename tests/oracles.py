@@ -2,11 +2,16 @@
 
 Everything here is deliberately written from scratch against the model
 definitions (brute-force recursion, literal per-node reward sums, the 2x2
-closed form) and must stay independent of the library code paths it checks.
+closed form), or frozen as a verbatim copy of an earlier implementation (the
+simplex loop), and must stay independent of the library code paths it checks.
 """
 
 from fractions import Fraction
 from itertools import permutations
+
+import numpy as np
+
+from decoygraph.lp import SolverError, UnboundedError
 
 
 def brute_force_paths(node_ids, edges, entry_ids, target_ids, max_hops=None):
@@ -66,3 +71,56 @@ def solve_2x2_exact(matrix):
         return float(lower)
     denom = a - b - c + d
     return float((a * d - b * c) / denom)
+
+
+# The simplex loop of ``decoygraph.lp`` as it was before its per-pivot
+# overhead was cut, copied verbatim: the reference that the faster loop must
+# match bit for bit, pivot for pivot. Tests swap both functions into
+# ``decoygraph.lp`` (and may patch ``_DEGENERATE_STREAK`` in both modules).
+_DEGENERATE_STREAK = 100
+
+
+def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    tableau[row] = tableau[row] / tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    basis[row] = col
+
+
+def _iterate(tableau, basis, allowed, tol, max_iter):
+    """Run simplex pivots until the (minimization) objective row is optimal."""
+    m = tableau.shape[0] - 1
+    bland = False
+    streak = 0
+    for _ in range(max_iter):
+        reduced = tableau[-1, :-1]
+        if bland:
+            candidates = np.nonzero((reduced < -tol) & allowed)[0]
+            if candidates.size == 0:
+                return
+            col = int(candidates[0])
+        else:
+            masked = np.where(allowed, reduced, np.inf)
+            col = int(np.argmin(masked))
+            if masked[col] >= -tol:
+                return
+        column = tableau[:m, col]
+        rhs = tableau[:m, -1]
+        eligible = column > tol
+        if not np.any(eligible):
+            raise UnboundedError("objective is unbounded")
+        ratios = np.full(m, np.inf)
+        ratios[eligible] = rhs[eligible] / column[eligible]
+        best = np.min(ratios)
+        # tie-break on the smallest basis variable index (anti-cycling aid)
+        tied = np.nonzero(ratios <= best + tol * max(1.0, abs(best)))[0]
+        row = int(min(tied, key=lambda i: basis[i]))
+        if best <= tol:
+            streak += 1
+            if streak > _DEGENERATE_STREAK:
+                bland = True
+        else:
+            streak = 0
+        _pivot(tableau, basis, row, col)
+    raise SolverError("simplex iteration limit reached")

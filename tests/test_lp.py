@@ -2,7 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracles
+from decoygraph import lp
 from decoygraph.lp import (
     InfeasibleError,
     LinearProgram,
@@ -221,3 +226,65 @@ class TestVerify:
         check = verify_equilibrium(m, solve_zero_sum(m))
         assert check.passed
         assert check.value_residual <= 1e-9
+
+
+def _outcome(solve, *args):
+    """Every bit of a solver result, or the error it raised."""
+    try:
+        result = solve(*args)
+    except lp.SolverError as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(np.asarray(v).tobytes() for v in vars(result).values())
+
+
+def _both_loops(streak, solve, *args):
+    """(faster loop, reference loop) outcomes of ``solve(*args)``; with
+    ``streak`` 0 Bland's rule runs from the first pivot in both."""
+    with pytest.MonkeyPatch.context() as mp:
+        if streak is not None:
+            mp.setattr(lp, "_DEGENERATE_STREAK", streak)
+            mp.setattr(oracles, "_DEGENERATE_STREAK", streak)
+        fast = _outcome(solve, *args)
+        mp.setattr(lp, "_iterate", oracles._iterate)
+        mp.setattr(lp, "_pivot", oracles._pivot)
+        return fast, _outcome(solve, *args)
+
+
+# entries from a tiny integer range make ties and degenerate pivots common
+small_games = st.integers(1, 6).flatmap(
+    lambda m: st.integers(1, 6).flatmap(lambda n: arrays(float, (m, n), elements=st.integers(-2, 2)))
+)
+
+
+@pytest.mark.parametrize("streak", [None, 0])
+@given(matrix=small_games)
+@settings(max_examples=150, deadline=None)
+def test_simplex_loop_matches_reference_on_games(streak, matrix):
+    for oriented in (matrix, -matrix.T):
+        fast, reference = _both_loops(streak, solve_zero_sum, oriented)
+        assert fast == reference
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(1, 4))
+    m_ub, m_eq = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    coefficients = st.integers(-2, 2)
+    bounds = st.sampled_from([(0.0, None), (0.0, 1.0), (-1.0, None), (None, 2.0), (None, None)])
+    return LinearProgram(
+        objective=draw(arrays(float, n, elements=coefficients)),
+        lhs_ineq=draw(arrays(float, (m_ub, n), elements=coefficients)),
+        rhs_ineq=draw(arrays(float, m_ub, elements=coefficients)),
+        lhs_eq=draw(arrays(float, (m_eq, n), elements=coefficients)),
+        rhs_eq=draw(arrays(float, m_eq, elements=coefficients)),
+        bounds=draw(st.lists(bounds, min_size=n, max_size=n)),
+        maximize=draw(st.booleans()),
+    )
+
+
+@pytest.mark.parametrize("streak", [None, 0])
+@given(program=small_lps())
+@settings(max_examples=150, deadline=None)
+def test_simplex_loop_matches_reference_on_lps(streak, program):
+    fast, reference = _both_loops(streak, solve_lp, program)
+    assert fast == reference

@@ -1,9 +1,16 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from decoygraph import mitigation, zeroday
 from decoygraph.game import GameParams, build_matrix
 from decoygraph.graph import NodeRecord, graph_from_parts
 from decoygraph.lp import solve_zero_sum
 from decoygraph.zeroday import (
+    CRITERIA,
+    PESSIMISTIC_MODES,
     ZeroDayRecord,
     evaluate_candidate,
     rank_records,
@@ -147,3 +154,60 @@ def test_candidate_independence_matches_itemwise(line3):
             status=rec.status, compute_optimistic=not skip_opt,
         )
         assert again == rec
+
+
+def scan_digests(name, graph, params):
+    """sha256 over every field of every scan record, floats in hex, for
+    both criteria and both pessimistic modes."""
+    out = {}
+    for criterion in CRITERIA:
+        for mode in PESSIMISTIC_MODES:
+            rows = scan_candidates(graph, params, criterion=criterion, pessimistic_mode=mode)
+            lines = [
+                f"{r.edge} {r.status} {r.naive.hex()} {r.optimistic.hex()} {r.pessimistic.hex()} "
+                f"{r.impact.hex()} {r.new_path_count} {r.exploit_probability.hex()} {r.dominance} "
+                f"{r.criterion} {r.pessimistic_mode}"
+                for r in rows
+            ]
+            out[f"{name} {criterion} {mode}"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return out
+
+
+SCAN_DIGESTS = json.loads((Path(__file__).parent / "scan_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", ["line3", "tree7", "net20"])
+def test_scan_records_match_golden_digest(request, name):
+    graph, params, _, _ = request.getfixturevalue(name)
+    assert scan_digests(name, graph, params) == {k: v for k, v in SCAN_DIGESTS.items() if k.split()[0] == name}
+
+
+def test_one_shared_lp_for_candidates_that_add_no_path(net20, monkeypatch):
+    graph, params, _, _ = net20
+    calls = []
+
+    def counted(matrix, **kwargs):
+        calls.append(matrix.shape)
+        return solve_zero_sum(matrix, **kwargs)
+
+    monkeypatch.setattr(zeroday, "solve_zero_sum", counted)
+    rows = scan_candidates(graph, params)
+    with_paths = sum(r.status == "analyzed" and r.new_path_count > 0 for r in rows)
+    assert any(r.new_path_count == 0 for r in rows)
+    # the base game, one per analyzed candidate that adds a path, and one
+    # for all the candidates that add none
+    assert len(calls) == 1 + with_paths + 1 == 227
+
+
+def test_game_restricted_by_entries_is_rejected(net20):
+    graph, params, _, _ = net20
+    game = build_matrix(graph, params, entries=(0,))
+    sol = solve_zero_sum(game.matrix)
+    x, y = sol.defender_strategy, sol.attacker_strategy
+    with pytest.raises(ValueError, match="every attack path"):
+        evaluate_candidate(game, x, (0, 1), y1=y)
+    report = scan_candidates(graph, params)
+    with pytest.raises(ValueError, match="every attack path"):
+        mitigation.evaluate_mitigation(mitigation.none_mitigation(), game, x, report)
+    with pytest.raises(ValueError, match="every attack path"):
+        mitigation.nature_game(game, x, report[:3])
