@@ -19,8 +19,6 @@ from .game import (
     build_matrix,
     defender_actions,
     load_params,
-    pad_strategy,
-    reward,
 )
 from .graph import (
     AttackGraph,
@@ -41,10 +39,8 @@ from .lp import (
     LinearProgram,
     SolverError,
     UnboundedError,
-    best_response,
     solve_lp,
     solve_zero_sum,
-    verify_equilibrium,
 )
 from .mitigation import (
     MitigationPlan,
@@ -89,7 +85,6 @@ __all__ = [
     "alpha_mitigation",
     "augment",
     "augmented_paths",
-    "best_response",
     "build_matrix",
     "capture_proportion",
     "critical_point_mitigation",
@@ -104,15 +99,12 @@ __all__ = [
     "lp_mitigation",
     "make_policy",
     "nature_game",
-    "pad_strategy",
     "random_mitigation",
     "rank_records",
     "report_csv",
-    "reward",
     "scan_candidates",
     "solve_lp",
     "solve_zero_sum",
     "sweep",
-    "verify_equilibrium",
     "weighted_residual",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .game import GameInstance, GameParams, build_matrix, hit_matrix, pure_strategy, uniform_strategy
+from .game import GameInstance, GameParams, PathColumns, allocation_rows, build_matrix, pure_strategy
 from .graph import AttackGraph
 from .lp import GameSolution, solve_zero_sum
 from .zeroday import fmt6
@@ -110,7 +110,7 @@ def make_policy(game: GameInstance, side: str, kind: str, solution: GameSolution
     if side == "attacker":
         if kind == "greedy":
             return pure_strategy(len(game.paths), _greedy_path_index(game))
-        return uniform_strategy(len(game.paths))
+        return np.full(len(game.paths), 1.0 / len(game.paths))
 
     if kind == "greedy":
         path = game.paths[_greedy_path_index(game)]
@@ -142,7 +142,8 @@ def capture_proportion(game: GameInstance, x, y, pinned=()) -> float:
     ``pinned`` adds deterministic extra honeypot locations given as (u, v)
     pairs; they are combined with every defender allocation draw.
     """
-    hit = hit_matrix(game.graph, game.actions, game.paths, pinned)
+    rows, _ = allocation_rows(game.graph, game.actions, pinned)
+    hit = PathColumns(game.graph, game.paths).hits(rows)
     return float(np.asarray(x) @ hit @ np.asarray(y))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -20,8 +21,6 @@ import numpy as np
 from .graph import AttackGraph, AttackPath, EnumerationLimitError, enumerate_attack_paths, is_finite_number
 
 DEFAULT_ACTION_LIMIT = 1_000_000
-
-STRATEGY_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,41 +109,6 @@ def defender_actions(
     return tuple(out)
 
 
-def reward(
-    graph: AttackGraph,
-    params: GameParams,
-    action,
-    path: AttackPath,
-    pinned=(),
-) -> float:
-    """Defender reward for one action profile.
-
-    ``action`` is an iterable of edge ids; ``pinned`` an optional iterable of
-    extra honeypot locations given as (u, v) pairs, which may name edges the
-    graph does not contain (hypothetical zero-day locations). Deployments are
-    deduplicated by location; each deployed honeypot costs ``honeypot_cost``.
-    The entry node contributes no value term. With ``terminate_on_capture``
-    the node-value sum stops after the first captured node; the per-hop
-    attacker cost always counts the full path.
-    """
-    honeypots = {graph.edges[e] for e in action}
-    honeypots.update(tuple(p) for p in pinned)
-    total = 0.0
-    prev = path.nodes[0]
-    for node in path.nodes[1:]:
-        v = graph.value(node)
-        if (prev, node) in honeypots:
-            total += params.cap * v
-            if params.terminate_on_capture:
-                break
-        else:
-            total -= params.esc * v
-        prev = node
-    total -= params.honeypot_cost * len(honeypots)
-    total += params.attack_cost_per_hop * path.hops
-    return total
-
-
 def build_matrix(
     graph: AttackGraph,
     params: GameParams,
@@ -165,17 +129,13 @@ def build_matrix(
 
 
 def payoff_matrix(graph: AttackGraph, params: GameParams, actions, paths, pinned=()) -> np.ndarray:
-    """Defender reward of every allocation in ``actions`` against every path."""
-    return PathColumns(graph, paths).payoff(params, actions, pinned)
-
-
-def hit_matrix(graph: AttackGraph, actions, paths, pinned=()) -> np.ndarray:
-    """1.0 where allocation i, plus ``pinned``, covers an edge of path j, else 0.0."""
-    return PathColumns(graph, paths).hits(actions, pinned)
+    """Defender reward of every allocation in ``actions``, plus the honeypot
+    locations ``pinned`` (see :func:`allocation_rows`), against every path."""
+    return PathColumns(graph, paths).payoff(params, *allocation_rows(graph, actions, pinned))
 
 
 class PathColumns:
-    """Per-path data of the edge-additive reward kernel, built in one pass.
+    """Per-path data of the reward kernel, built in one pass.
 
     ``incidence[e, j]`` is 1.0 where path j takes edge e, ``weights[e, j]``
     is then the value of the node that edge enters, and ``totals[j]`` sums
@@ -214,44 +174,61 @@ class PathColumns:
             setattr(out, name, merged)
         return out
 
-    def payoff(self, params: GameParams, actions, pinned=()) -> np.ndarray:
-        """Defender reward of every allocation in ``actions`` against every path.
+    @cached_property
+    def _steps(self):
+        """Each path's edge ids in path order, padded with the id E that no
+        edge has, and the values of the nodes they enter, padded with 0."""
+        width = max((path.hops for path in self.paths), default=1)
+        positions = np.full((len(self.paths), width), len(self.graph.edges))
+        values = np.zeros((len(self.paths), width))
+        for j, path in enumerate(self.paths):
+            positions[j, : path.hops] = path.edges
+            values[j, : path.hops] = [self.graph.value(node) for node in path.nodes[1:]]
+        return positions, values
 
-        ``pinned`` adds (u, v) honeypot locations to every allocation, as in
-        :func:`reward`: they are deduplicated against the allocation's edges,
-        and pins that are not graph edges cover nothing but still cost
-        ``honeypot_cost``. The reward is additive over covered edges, so
-        R[i, j] = base[j] + (cap + esc) * (covered value) - cost[i]. With
-        ``terminate_on_capture`` it is not, and every cell comes from
-        :func:`reward`.
+    def payoff(self, params: GameParams, rows, deployed) -> np.ndarray:
+        """Defender reward of every allocation, given as the ``rows`` and
+        ``deployed`` counts of :func:`allocation_rows`, against every path.
+
+        The reward is additive over covered edges, so R[i, j] = base[j] +
+        (cap + esc) * (covered value) - cost[i]. With ``terminate_on_capture``
+        the value sum of path j stops at its first covered position f: it is
+        the running sum of -esc * value before f plus cap * value at f, or
+        the whole running sum when no position is covered. The running sum
+        adds in path order, as a per-node loop would. The per-hop attacker
+        cost always counts the full path.
         """
-        if params.terminate_on_capture:
-            matrix = np.empty((len(actions), len(self.paths)))
-            for i, action in enumerate(actions):
-                for j, path in enumerate(self.paths):
-                    matrix[i, j] = reward(self.graph, params, action, path, pinned)
-            return matrix
-        return self.additive_payoff(params, *allocation_rows(self.graph, actions, pinned))
-
-    def additive_payoff(self, params: GameParams, rows, deployed) -> np.ndarray:
-        """:meth:`payoff` without ``terminate_on_capture``, for allocations
-        given as the ``rows`` and ``deployed`` counts of
-        :func:`allocation_rows`."""
         hops = self.incidence.sum(axis=0)
-        base = -params.esc * self.totals + params.attack_cost_per_hop * hops
         costs = params.honeypot_cost * deployed
-        return base[None, :] + (params.cap + params.esc) * (rows @ self.weights) - costs[:, None]
+        if not params.terminate_on_capture:
+            base = -params.esc * self.totals + params.attack_cost_per_hop * hops
+            return base[None, :] + (params.cap + params.esc) * (rows @ self.weights) - costs[:, None]
+        positions, values = self._steps
+        covered = np.hstack([rows > 0, np.zeros((len(rows), 1), dtype=bool)])[:, positions]
+        first = covered.argmax(axis=2)
+        running = np.cumsum(np.hstack([np.zeros((len(self.paths), 1)), -params.esc * values]), axis=1)
+        column = np.arange(len(self.paths))
+        captured = running[column, first] + params.cap * values[column, first]
+        escaped = running[column, hops.astype(int)]
+        value_sums = np.where(covered.any(axis=2), captured, escaped)
+        return value_sums - costs[:, None] + params.attack_cost_per_hop * hops
 
-    def hits(self, actions, pinned=()) -> np.ndarray:
-        """1.0 where allocation i, plus ``pinned``, covers an edge of path j, else 0.0."""
-        rows, _ = allocation_rows(self.graph, actions, pinned)
+    def hits(self, rows) -> np.ndarray:
+        """1.0 where allocation i (a row of :func:`allocation_rows`) covers an
+        edge of path j, else 0.0."""
         hits = rows @ self.incidence
         return np.minimum(hits, 1.0, out=hits)
 
 
 def allocation_rows(graph: AttackGraph, actions, pinned=()):
     """Edge-indicator row of each allocation with the in-graph pins set, and
-    the number of distinct honeypot locations each one deploys."""
+    the number of distinct honeypot locations each one deploys.
+
+    ``pinned`` adds (u, v) honeypot locations to every allocation. They are
+    deduplicated against each other and the allocation's edges; pins that
+    are not edges of ``graph`` (hypothetical zero-day locations) cover
+    nothing but still count as deployed, so they cost ``honeypot_cost``.
+    """
     pins = {tuple(p) for p in pinned}
     pin_ids = [graph.edge_index[p] for p in pins if p in graph.edge_index]
     rows = np.zeros((len(actions), len(graph.edges)))
@@ -265,36 +242,4 @@ def allocation_rows(graph: AttackGraph, actions, pinned=()):
 def pure_strategy(size: int, index: int) -> np.ndarray:
     out = np.zeros(size)
     out[index] = 1.0
-    return out
-
-
-def uniform_strategy(size: int) -> np.ndarray:
-    return np.full(size, 1.0 / size)
-
-
-def check_distribution(strategy, tol: float = STRATEGY_SUM_TOL) -> np.ndarray:
-    arr = np.asarray(strategy, dtype=float)
-    if np.any(arr < -tol):
-        raise ValueError("strategy has negative entries")
-    if abs(arr.sum() - 1.0) > tol:
-        raise ValueError(f"strategy sums to {arr.sum()!r}, not 1")
-    return arr
-
-
-def pad_strategy(x1, game1: GameInstance, game2: GameInstance) -> np.ndarray:
-    """Lift a game-1 defender strategy into game 2's action ordering.
-
-    Every game-1 action keeps its probability; actions that only exist in
-    game 2 (allocations touching the new edge) get zero. Raises ValueError
-    if some game-1 action is missing from game 2.
-    """
-    x_arr = check_distribution(x1)
-    if x_arr.size != len(game1.actions):
-        raise ValueError("strategy length does not match game-1 action count")
-    index = {action: i for i, action in enumerate(game2.actions)}
-    out = np.zeros(len(game2.actions))
-    for action, prob in zip(game1.actions, x_arr):
-        if action not in index:
-            raise ValueError(f"defender action {action} missing from the augmented game")
-        out[index[action]] = prob
     return out

@@ -71,14 +71,6 @@ class GameSolution:
     attacker_gap: float
 
 
-@dataclass
-class EquilibriumCheck:
-    passed: bool
-    defender_gap: float
-    attacker_gap: float
-    value_residual: float
-
-
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int, outer=None) -> None:
     """Pivot on (row, col); ``outer`` optionally receives the rank-one update
     so that a loop of pivots on one tableau allocates it once."""
@@ -391,47 +383,4 @@ def solve_zero_sum(matrix, *, tol: float = FEASIBILITY_TOL) -> GameSolution:
         value=value,
         defender_gap=defender_gap,
         attacker_gap=attacker_gap,
-    )
-
-
-def best_response(matrix, fixed, side: str) -> tuple[int, float]:
-    """Best pure reply to a fixed mixed strategy; ties go to the lowest index.
-
-    ``side`` names the responder: "row" responds to a fixed column strategy
-    and maximizes ``matrix``; "column" responds to a fixed row strategy and
-    maximizes ``-matrix``. Returns (action index, responder payoff).
-    """
-    m_arr = np.asarray(matrix, dtype=float)
-    fixed_arr = np.asarray(fixed, dtype=float)
-    if side == "row":
-        payoffs = m_arr @ fixed_arr
-    elif side == "column":
-        payoffs = -(fixed_arr @ m_arr)
-    else:
-        raise ValueError(f"side must be 'row' or 'column', got {side!r}")
-    idx = int(np.argmax(payoffs))
-    return idx, float(payoffs[idx])
-
-
-def verify_equilibrium(matrix, solution: GameSolution, tol: float = GAP_TOL) -> EquilibriumCheck:
-    """Recompute best-response gaps from scratch and check value consistency."""
-    m_arr = np.asarray(matrix, dtype=float)
-    x = np.asarray(solution.defender_strategy, dtype=float)
-    y = np.asarray(solution.attacker_strategy, dtype=float)
-    value = float(x @ m_arr @ y)
-    defender_gap = max(0.0, float(np.max(m_arr @ y)) - value)
-    attacker_gap = max(0.0, value - float(np.min(x @ m_arr)))
-    residual = abs(value - solution.value)
-    distributions_ok = (
-        np.all(x >= -FEASIBILITY_TOL)
-        and np.all(y >= -FEASIBILITY_TOL)
-        and abs(x.sum() - 1.0) <= 1e-9
-        and abs(y.sum() - 1.0) <= 1e-9
-    )
-    passed = bool(distributions_ok and defender_gap <= tol and attacker_gap <= tol and residual <= tol)
-    return EquilibriumCheck(
-        passed=passed,
-        defender_gap=defender_gap,
-        attacker_gap=attacker_gap,
-        value_residual=residual,
     )

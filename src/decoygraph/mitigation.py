@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, GameParams, PathColumns, build_matrix, defender_actions
+from .game import GameInstance, GameParams, PathColumns, allocation_rows, build_matrix, defender_actions, payoff_matrix
 from .graph import AttackGraph, NodeRecord, augment, augmented_paths, graph_from_parts
 from .lp import GameSolution, LinearProgram, solve_lp, solve_zero_sum
 from .zeroday import normalize_criterion, rank_records
@@ -221,11 +221,10 @@ def _mixed_columns(columns: PathColumns, params, support, pinned):
     in its own order, which moves the argmax that breaks those ties.
     """
     allocations, probs = support
-    rows = columns.payoff(params, allocations, pinned)
-    hits = columns.hits(allocations, pinned)
+    rows, deployed = allocation_rows(columns.graph, allocations, pinned)
     rewards = np.zeros(len(columns.paths))
     capture = np.zeros(len(columns.paths))
-    for prob, row, hit in zip(probs, rows, hits):
+    for prob, row, hit in zip(probs, columns.payoff(params, rows, deployed), columns.hits(rows)):
         rewards -= prob * row
         capture += prob * hit
     return rewards, capture
@@ -366,7 +365,7 @@ def evaluate_mitigation(
             graph2 = augment(graph, rec.edge)
             if actions2 is None:
                 actions2 = defender_actions(graph2, params)
-            pinned_game = PathColumns(graph2, paths2).payoff(params, actions2, pins)
+            pinned_game = payoff_matrix(graph2, params, actions2, paths2, pins)
             y2 = solve_zero_sum(pinned_game).attacker_strategy
             reward_after = float(after_rewards @ y2)
             capture_after = float(after_capture @ y2)

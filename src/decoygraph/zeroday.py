@@ -24,9 +24,7 @@ from .game import (
     PathColumns,
     allocation_rows,
     build_matrix,
-    check_distribution,
     defender_actions,
-    payoff_matrix,
     pure_strategy,
 )
 from .graph import AttackGraph, augment, augmented_paths, generate_zero_day_candidates
@@ -34,6 +32,8 @@ from .lp import solve_zero_sum
 
 CRITERIA = ("pessimistic", "optimistic")
 PESSIMISTIC_MODES = ("best_response", "game2_ne")
+
+STRATEGY_SUM_TOL = 1e-9
 
 CSV_COLUMNS = ("edge_u", "edge_v", "naive", "optimistic", "pessimistic", "impact", "y_e", "dominance")
 
@@ -106,7 +106,11 @@ class _Augmentation:
         self.actions = defender_actions(self.stand_in, params)
         self.rows, self.deployed = allocation_rows(self.stand_in, self.actions)
         self.base_columns = PathColumns(self.stand_in, game1.paths)
-        x_arr = check_distribution(x1)
+        x_arr = np.asarray(x1, dtype=float)
+        if np.any(x_arr < -STRATEGY_SUM_TOL):
+            raise ValueError("strategy has negative entries")
+        if abs(x_arr.sum() - 1.0) > STRATEGY_SUM_TOL:
+            raise ValueError(f"strategy sums to {x_arr.sum()!r}, not 1")
         if x_arr.size != len(game1.actions):
             raise ValueError("strategy length does not match game-1 action count")
         index = {action: i for i, action in enumerate(self.actions)}
@@ -121,13 +125,8 @@ class _Augmentation:
         adds_path = bool(new_mask.any())
         if not adds_path and self.no_path_game is not None:
             return self.no_path_game
-        paths2 = self.path_sets[k]
-        if self.params.terminate_on_capture:
-            matrix = payoff_matrix(augment(self.graph, self.edges[k]), self.params, self.actions, paths2)
-        else:
-            columns = PathColumns.spliced(self.stand_in, paths2, self.base_columns, new_mask)
-            matrix = columns.additive_payoff(self.params, self.rows, self.deployed)
-        game2 = _AugmentedGame(matrix, self.xhat)
+        columns = PathColumns.spliced(self.stand_in, self.path_sets[k], self.base_columns, new_mask)
+        game2 = _AugmentedGame(columns.payoff(self.params, self.rows, self.deployed), self.xhat)
         if not adds_path:
             self.no_path_game = game2
         return game2

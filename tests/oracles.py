@@ -2,16 +2,19 @@
 
 Everything here is deliberately written from scratch against the model
 definitions (brute-force recursion, literal per-node reward sums, the 2x2
-closed form), or frozen as a verbatim copy of an earlier implementation (the
-simplex loop), and must stay independent of the library code paths it checks.
+closed form, best responses and equilibrium gaps recomputed from a matrix,
+strategy padding by action lookup), or frozen as a verbatim copy of an
+earlier implementation (the simplex loop), and must stay independent of the
+library code paths it checks.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
-from decoygraph.lp import SolverError, UnboundedError
+from decoygraph.lp import FEASIBILITY_TOL, GAP_TOL, SolverError, UnboundedError
 
 
 def brute_force_paths(node_ids, edges, entry_ids, target_ids, max_hops=None):
@@ -56,6 +59,80 @@ def literal_reward(values, edge_pairs, params, action_edge_ids, path_nodes, pinn
     total -= params.honeypot_cost * len(honeypots)
     total += params.attack_cost_per_hop * (len(path_nodes) - 1)
     return total
+
+
+def pad_strategy(x1, game1, game2) -> np.ndarray:
+    """Lift a game-1 defender strategy into game 2's action ordering.
+
+    Every game-1 action keeps its probability; actions that only exist in
+    game 2 (allocations touching the new edge) get zero. Raises ValueError
+    if some game-1 action is missing from game 2.
+    """
+    x_arr = np.asarray(x1, dtype=float)
+    if np.any(x_arr < -1e-9):
+        raise ValueError("strategy has negative entries")
+    if abs(x_arr.sum() - 1.0) > 1e-9:
+        raise ValueError(f"strategy sums to {x_arr.sum()!r}, not 1")
+    if x_arr.size != len(game1.actions):
+        raise ValueError("strategy length does not match game-1 action count")
+    index = {action: i for i, action in enumerate(game2.actions)}
+    out = np.zeros(len(game2.actions))
+    for action, prob in zip(game1.actions, x_arr):
+        if action not in index:
+            raise ValueError(f"defender action {action} missing from the augmented game")
+        out[index[action]] = prob
+    return out
+
+
+def best_response(matrix, fixed, side: str) -> tuple[int, float]:
+    """Best pure reply to a fixed mixed strategy; ties go to the lowest index.
+
+    ``side`` names the responder: "row" responds to a fixed column strategy
+    and maximizes ``matrix``; "column" responds to a fixed row strategy and
+    maximizes ``-matrix``. Returns (action index, responder payoff).
+    """
+    m_arr = np.asarray(matrix, dtype=float)
+    fixed_arr = np.asarray(fixed, dtype=float)
+    if side == "row":
+        payoffs = m_arr @ fixed_arr
+    elif side == "column":
+        payoffs = -(fixed_arr @ m_arr)
+    else:
+        raise ValueError(f"side must be 'row' or 'column', got {side!r}")
+    idx = int(np.argmax(payoffs))
+    return idx, float(payoffs[idx])
+
+
+@dataclass
+class EquilibriumCheck:
+    passed: bool
+    defender_gap: float
+    attacker_gap: float
+    value_residual: float
+
+
+def verify_equilibrium(matrix, solution, tol: float = GAP_TOL) -> EquilibriumCheck:
+    """Recompute best-response gaps from scratch and check value consistency."""
+    m_arr = np.asarray(matrix, dtype=float)
+    x = np.asarray(solution.defender_strategy, dtype=float)
+    y = np.asarray(solution.attacker_strategy, dtype=float)
+    value = float(x @ m_arr @ y)
+    defender_gap = max(0.0, float(np.max(m_arr @ y)) - value)
+    attacker_gap = max(0.0, value - float(np.min(x @ m_arr)))
+    residual = abs(value - solution.value)
+    distributions_ok = (
+        np.all(x >= -FEASIBILITY_TOL)
+        and np.all(y >= -FEASIBILITY_TOL)
+        and abs(x.sum() - 1.0) <= 1e-9
+        and abs(y.sum() - 1.0) <= 1e-9
+    )
+    passed = bool(distributions_ok and defender_gap <= tol and attacker_gap <= tol and residual <= tol)
+    return EquilibriumCheck(
+        passed=passed,
+        defender_gap=defender_gap,
+        attacker_gap=attacker_gap,
+        value_residual=residual,
+    )
 
 
 def solve_2x2_exact(matrix):

@@ -13,11 +13,11 @@ import pytest
 
 from decoygraph import fixtures, mitigation
 from decoygraph.evaluation import SweepConfig, capture_proportion, expected_reward, make_policy, sweep
-from decoygraph.game import GameParams, build_matrix, pad_strategy
+from decoygraph.game import GameParams, build_matrix
 from decoygraph.graph import augment
-from decoygraph.lp import best_response, solve_zero_sum, verify_equilibrium
+from decoygraph.lp import solve_zero_sum
 from decoygraph.zeroday import evaluate_candidate, scan_candidates
-from oracles import literal_reward, solve_2x2_exact
+from oracles import best_response, literal_reward, pad_strategy, solve_2x2_exact, verify_equilibrium
 
 
 def report(criterion, ok, detail=""):

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from decoygraph.game import (
     GameParams,
+    PathColumns,
+    allocation_rows,
     build_matrix,
     defender_actions,
-    hit_matrix,
     load_params,
-    pad_strategy,
     params_to_document,
     payoff_matrix,
-    reward,
 )
 from decoygraph.graph import (
     EnumerationLimitError,
@@ -27,7 +26,7 @@ from decoygraph.graph import (
     graph_from_parts,
 )
 from decoygraph import fixtures
-from oracles import literal_reward
+from oracles import literal_reward, pad_strategy
 
 
 def test_params_round_trip():
@@ -99,12 +98,17 @@ def test_action_budget_and_limit_checks(line3):
         defender_actions(graph, GameParams(budget=1), limit=2)
 
 
+def cell(graph, params, action, path, pinned=()):
+    """One cell of the payoff matrix: the defender reward of one profile."""
+    return payoff_matrix(graph, params, [action], [path], pinned)[0, 0]
+
+
 def test_reward_examples(line3):
     graph, params, game, _ = line3
     path = game.paths[0]
-    assert reward(graph, params, (0,), path) == pytest.approx(1.0)
-    assert reward(graph, params, (), path) == pytest.approx(-13.0)
-    assert reward(graph, params, (1,), path) == pytest.approx(16.0)
+    assert cell(graph, params, (0,), path) == pytest.approx(1.0)
+    assert cell(graph, params, (), path) == pytest.approx(-13.0)
+    assert cell(graph, params, (1,), path) == pytest.approx(16.0)
 
 
 def test_reward_terminate_on_capture(line3):
@@ -113,9 +117,9 @@ def test_reward_terminate_on_capture(line3):
                         terminate_on_capture=True)
     path = game.paths[0]
     # capture at node 2 stops the value sum before node 3
-    assert reward(graph, params, (0,), path) == pytest.approx(10.0 - 1.0 + 2.0)
+    assert cell(graph, params, (0,), path) == pytest.approx(10.0 - 1.0 + 2.0)
     # no capture: identical to the default mode
-    assert reward(graph, params, (), path) == pytest.approx(-13.0)
+    assert cell(graph, params, (), path) == pytest.approx(-13.0)
     game_t = build_matrix(graph, params)
     assert game_t.matrix[1, 0] == pytest.approx(11.0)
 
@@ -132,8 +136,8 @@ def test_reward_honeypot_cost_monotonicity():
         action = tuple(rng.choice(len(graph.edges), size=1))
         if extra in action:
             continue
-        base = reward(graph, params, action, path)
-        more = reward(graph, params, tuple(set(action) | {extra}), path)
+        base = cell(graph, params, action, path)
+        more = cell(graph, params, tuple(set(action) | {extra}), path)
         assert more == pytest.approx(base - params.honeypot_cost)
 
 
@@ -141,8 +145,8 @@ def test_reward_capture_dominance_per_cell(tree7):
     graph, params, game, _ = tree7
     path = game.paths[0]
     for eid, node in zip(path.edges, path.nodes[1:]):
-        without = reward(graph, params, (), path)
-        with_hp = reward(graph, params, (eid,), path)
+        without = cell(graph, params, (), path)
+        with_hp = cell(graph, params, (eid,), path)
         swing = (params.cap + params.esc) * graph.value(node) - params.honeypot_cost
         assert with_hp - without == pytest.approx(swing)
 
@@ -228,7 +232,8 @@ def test_payoff_and_hit_kernels_match_literal_definitions(case):
         got = payoff_matrix(graph, params, actions, paths, pinned)
         scale = max(1.0, float(np.abs(expected).max()))
         assert np.abs(got - expected).max() <= 1e-12 * scale
-        assert np.array_equal(hit_matrix(graph, actions, paths, pinned),
+        rows, _ = allocation_rows(graph, actions, pinned)
+        assert np.array_equal(PathColumns(graph, paths).hits(rows),
                               literal_hits(graph, actions, paths, pinned))
         terminate = replace(params, terminate_on_capture=True)
         assert np.array_equal(payoff_matrix(graph, terminate, actions, paths, pinned),
@@ -261,9 +266,13 @@ def test_pinned_reward_covers_non_graph_edge(line3):
     g2 = augment(graph, (1, 3))
     short = enumerate_attack_paths(g2)[1]
     assert short.nodes == (1, 3)
-    # pin on the hypothetical edge: capture node 3, pay for both honeypots
-    got = reward(graph, params, (1,), short, pinned=[(1, 3)])
+    # pin on the hypothetical edge, scored on the graph that has it: capture
+    # node 3, pay for both honeypots
+    got = cell(g2, params, (1,), short, pinned=[(1, 3)])
     assert got == pytest.approx(10 * 2.0 - 2.0 + 1.0)
+    # on the graph without that edge the pin covers nothing but still costs
+    path = game.paths[0]
+    assert cell(graph, params, (1,), path, pinned=[(1, 3)]) == pytest.approx(16.0 - params.honeypot_cost)
 
 
 def test_pad_strategy_examples(line3):

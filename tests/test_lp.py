@@ -12,12 +12,10 @@ from decoygraph.lp import (
     InfeasibleError,
     LinearProgram,
     UnboundedError,
-    best_response,
     solve_lp,
     solve_zero_sum,
-    verify_equilibrium,
 )
-from oracles import solve_2x2_exact
+from oracles import best_response, solve_2x2_exact, verify_equilibrium
 
 
 class TestSolveLp:

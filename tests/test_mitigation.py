@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ from decoygraph.mitigation import (
     random_mitigation,
     weighted_residual,
 )
-from decoygraph.zeroday import scan_candidates
+from decoygraph.zeroday import CRITERIA, PESSIMISTIC_MODES, scan_candidates
 from oracles import literal_reward
-from test_zeroday import make_record
+from test_zeroday import make_record, records_digest
 
 
 class TestAlpha:
@@ -354,6 +355,20 @@ def _sha256_lines(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _outcomes_digest(metrics):
+    lines = [
+        f"{o.edge} {o.reward_before.hex()} {o.reward_after.hex()} "
+        f"{o.capture_before.hex()} {o.capture_after.hex()} {o.prevented}"
+        for o in metrics.outcomes
+    ]
+    lines.append(f"{metrics.effectiveness.hex()} {metrics.capture_before.hex()} {metrics.capture_after.hex()}")
+    return _sha256_lines(lines)
+
+
+def _nature_digest(nature):
+    return _sha256_lines(" ".join(float(v).hex() for v in row) for row in nature.matrix)
+
+
 def mitigation_digests(name, graph, params, game, sol):
     """sha256 over hex-float outcomes of every pinned plan kind under both
     criteria, the nature matrix over the top 10 candidates, and the
@@ -380,17 +395,8 @@ def mitigation_digests(name, graph, params, game, sol):
         for label, plan in plans.items():
             subset = rows if criterion == "pessimistic" else rows[::3]
             metrics = evaluate_mitigation(plan, game, x, subset, criterion=criterion)
-            lines = [
-                f"{o.edge} {o.reward_before.hex()} {o.reward_after.hex()} "
-                f"{o.capture_before.hex()} {o.capture_after.hex()} {o.prevented}"
-                for o in metrics.outcomes
-            ]
-            lines.append(f"{metrics.effectiveness.hex()} {metrics.capture_before.hex()} {metrics.capture_after.hex()}")
-            out[f"{name} {label} {criterion}"] = _sha256_lines(lines)
-        nature = nature_game(game, x, rows[:10], criterion=criterion)
-        out[f"{name} nature {criterion}"] = _sha256_lines(
-            " ".join(float(v).hex() for v in row) for row in nature.matrix
-        )
+            out[f"{name} {label} {criterion}"] = _outcomes_digest(metrics)
+        out[f"{name} nature {criterion}"] = _nature_digest(nature_game(game, x, rows[:10], criterion=criterion))
     return out
 
 
@@ -401,3 +407,49 @@ MITIGATION_DIGESTS = json.loads((Path(__file__).parent / "mitigation_digests.jso
 def test_mitigation_outcomes_match_golden_digest(request, name):
     digests = mitigation_digests(name, *request.getfixturevalue(name))
     assert digests == {k: v for k, v in MITIGATION_DIGESTS.items() if k.split()[0] == name}
+
+
+TERMINATE_BUDGETS = {"line3": (1, 2), "tree7": (1, 2), "net20": (1,)}
+
+
+def terminate_digests(name, graph, params):
+    """sha256 over hex floats of what the program outputs with
+    ``terminate_on_capture`` at each budget: scan records under both criteria
+    and both pessimistic modes, the outcomes of three pinned plan kinds under
+    both criteria (optimistic ones on every 6th net20 candidate) and the
+    nature matrices over the top 10 candidates."""
+    out = {}
+    for budget in TERMINATE_BUDGETS[name]:
+        key = f"{name} H{budget}"
+        params_t = replace(params, budget=budget, terminate_on_capture=True)
+        game = build_matrix(graph, params_t)
+        sol = solve_zero_sum(game.matrix)
+        x = sol.defender_strategy
+        for criterion in CRITERIA:
+            for mode in PESSIMISTIC_MODES:
+                scanned = scan_candidates(graph, params_t, criterion=criterion, pessimistic_mode=mode, solution=sol)
+                out[f"{key} {criterion} {mode}"] = records_digest(scanned)
+                if (criterion, mode) == ("pessimistic", "best_response"):
+                    rows = scanned
+        plans = {
+            "alpha1": alpha_mitigation(rows, k=1),
+            "random": random_mitigation(rows, 3),
+            "critical+honeypot": critical_point_mitigation(game, params_t, rows, add_honeypot=True),
+        }
+        for criterion in ("pessimistic", "optimistic"):
+            subset = rows if criterion == "pessimistic" or name != "net20" else rows[::6]
+            for label, plan in plans.items():
+                metrics = evaluate_mitigation(plan, game, x, subset, criterion=criterion)
+                out[f"{key} {label} {criterion}"] = _outcomes_digest(metrics)
+            out[f"{key} nature {criterion}"] = _nature_digest(nature_game(game, x, rows[:10], criterion=criterion))
+    return out
+
+
+TERMINATE_DIGESTS = json.loads((Path(__file__).parent / "terminate_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", ["line3", "tree7", "net20"])
+def test_terminate_on_capture_outputs_match_golden_digest(request, name):
+    graph, params, _, _ = request.getfixturevalue(name)
+    digests = terminate_digests(name, graph, params)
+    assert digests == {k: v for k, v in TERMINATE_DIGESTS.items() if k.split()[0] == name}

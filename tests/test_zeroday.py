@@ -2,12 +2,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoygraph import mitigation, zeroday
-from decoygraph.game import GameParams, build_matrix
-from decoygraph.graph import NodeRecord, graph_from_parts
-from decoygraph.lp import solve_zero_sum
+from decoygraph.game import GameParams, build_matrix, pure_strategy
+from decoygraph.graph import NodeRecord, augment, generate_zero_day_candidates, graph_from_parts
+from decoygraph.lp import SolverError, solve_zero_sum
 from decoygraph.zeroday import (
     CRITERIA,
     PESSIMISTIC_MODES,
@@ -17,6 +20,9 @@ from decoygraph.zeroday import (
     report_csv,
     scan_candidates,
 )
+from oracles import pad_strategy
+from test_game import literal_matrix
+from test_graph import role_digraphs
 
 
 def make_record(edge, impact):
@@ -156,21 +162,27 @@ def test_candidate_independence_matches_itemwise(line3):
         assert again == rec
 
 
+def records_digest(rows):
+    """sha256 over every field of every scan record, floats in hex."""
+    lines = [
+        f"{r.edge} {r.status} {r.naive.hex()} {r.optimistic.hex()} {r.pessimistic.hex()} "
+        f"{r.impact.hex()} {r.new_path_count} {r.exploit_probability.hex()} {r.dominance} "
+        f"{r.criterion} {r.pessimistic_mode}"
+        for r in rows
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def scan_digests(name, graph, params):
-    """sha256 over every field of every scan record, floats in hex, for
-    both criteria and both pessimistic modes."""
-    out = {}
-    for criterion in CRITERIA:
-        for mode in PESSIMISTIC_MODES:
-            rows = scan_candidates(graph, params, criterion=criterion, pessimistic_mode=mode)
-            lines = [
-                f"{r.edge} {r.status} {r.naive.hex()} {r.optimistic.hex()} {r.pessimistic.hex()} "
-                f"{r.impact.hex()} {r.new_path_count} {r.exploit_probability.hex()} {r.dominance} "
-                f"{r.criterion} {r.pessimistic_mode}"
-                for r in rows
-            ]
-            out[f"{name} {criterion} {mode}"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    return out
+    """:func:`records_digest` of the scan for both criteria and both
+    pessimistic modes."""
+    return {
+        f"{name} {criterion} {mode}": records_digest(
+            scan_candidates(graph, params, criterion=criterion, pessimistic_mode=mode)
+        )
+        for criterion in CRITERIA
+        for mode in PESSIMISTIC_MODES
+    }
 
 
 SCAN_DIGESTS = json.loads((Path(__file__).parent / "scan_digests.json").read_text())
@@ -211,3 +223,101 @@ def test_game_restricted_by_entries_is_rejected(net20):
         mitigation.evaluate_mitigation(mitigation.none_mitigation(), game, x, report)
     with pytest.raises(ValueError, match="every attack path"):
         mitigation.nature_game(game, x, report[:3])
+
+
+@st.composite
+def scan_games(draw):
+    """A digraph of ``role_digraphs`` (cycles, several entries and targets)
+    with drawn node values, all integers (exact ties) or not, and drawn
+    params in either reward mode."""
+    g = draw(role_digraphs())
+    if draw(st.booleans()):
+        value = st.integers(min_value=0, max_value=9).map(float)
+    else:
+        value = st.floats(min_value=0.0, max_value=20.0, allow_nan=False, allow_infinity=False)
+    graph = graph_from_parts([NodeRecord(n.id, draw(value), n.role) for n in g.nodes], g.edges)
+    cost = st.floats(min_value=0.0, max_value=15.0, allow_nan=False, allow_infinity=False)
+    params = GameParams(cap=draw(cost), esc=draw(cost), honeypot_cost=draw(cost),
+                        attack_cost_per_hop=draw(cost),
+                        budget=draw(st.integers(min_value=1, max_value=min(2, len(graph.edges)))),
+                        terminate_on_capture=draw(st.booleans()))
+    return graph, params
+
+
+def expected_record(game1, sol, game2, edge, status, criterion, mode):
+    """The scan record of one candidate, recomputed from the augmented game
+    built from scratch."""
+    x1, y1 = sol.defender_strategy, sol.attacker_strategy
+    new_mask = np.array([len(game1.graph.edges) in path.edges for path in game2.paths])
+    column = -(pad_strategy(x1, game1, game2) @ game2.matrix)
+    naive = float(np.max(-(x1 @ game1.matrix)))
+    br = int(np.argmax(column))
+    if mode == "game2_ne" or not (status == "dominant" and criterion == "pessimistic"):
+        y2 = solve_zero_sum(game2.matrix).attacker_strategy
+        optimistic = float(column @ y2)
+    else:
+        y2, optimistic = pure_strategy(len(column), br), float(column[br])
+    if mode == "best_response":
+        pessimistic, pes_y = float(column[br]), pure_strategy(len(column), br)
+    else:
+        pessimistic, pes_y = optimistic, y2
+    chosen, strategy = (pessimistic, pes_y) if criterion == "pessimistic" else (optimistic, y2)
+    dominance = "neither"
+    new, old = np.flatnonzero(new_mask), np.flatnonzero(~new_mask)
+    if new.size:
+        r_new = column[new[np.argmax(column[new])]]
+        supported = old[np.asarray(y1) > 1e-12]
+        if all(r_new > column[j] for j in old):
+            dominance = "dominant"
+        elif supported.size and all(r_new < column[j] for j in supported) and r_new < -(x1 @ game1.matrix @ y1):
+            dominance = "dominated"
+    return ZeroDayRecord(
+        edge=edge, status=status, naive=naive, optimistic=optimistic, pessimistic=pessimistic,
+        impact=chosen - naive, new_path_count=int(new_mask.sum()),
+        exploit_probability=float(strategy[new_mask].sum()) if new.size else 0.0,
+        dominance=dominance, criterion=criterion, pessimistic_mode=mode,
+    )
+
+
+def _outcome(compute):
+    """What ``compute()`` returns, or the solver error it raises."""
+    try:
+        return compute()
+    except SolverError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(scan_games())
+@settings(max_examples=90, deadline=None)
+def test_scan_fast_path_matches_full_rebuild(case):
+    # the scan's shared stand-in graph, spliced columns and shared no-path
+    # game against augment -> build_matrix for every candidate, bit for bit;
+    # where the rebuilt game's solve fails, the scan must fail the same way
+    graph, params = case
+    game1 = build_matrix(graph, params)
+    sol = _outcome(lambda: solve_zero_sum(game1.matrix))
+    if isinstance(sol, tuple):
+        assert _outcome(lambda: scan_candidates(graph, params)) == sol
+        return
+    work = [c for c in generate_zero_day_candidates(graph) if c.status in ("analyzed", "dominant")]
+    if not work:
+        return
+    shared = zeroday._Augmentation(game1, sol.defender_strategy, sol.attacker_strategy, [c.edge for c in work])
+    games2 = [build_matrix(augment(graph, c.edge), params) for c in work]
+    for k, game2 in enumerate(games2):
+        new_mask = np.array([len(graph.edges) in path.edges for path in game2.paths])
+        matrix = shared.game(k, new_mask).matrix
+        assert np.array_equal(matrix, game2.matrix)
+        if params.terminate_on_capture:
+            assert np.array_equal(matrix, literal_matrix(game2.graph, params, game2.actions, game2.paths, ()))
+    for criterion in CRITERIA:
+        for mode in PESSIMISTIC_MODES:
+            scanned = _outcome(lambda: {
+                r.edge: r
+                for r in scan_candidates(graph, params, criterion=criterion, pessimistic_mode=mode, solution=sol)
+            })
+            expected = _outcome(lambda: {
+                c.edge: expected_record(game1, sol, game2, c.edge, c.status, criterion, mode)
+                for c, game2 in zip(work, games2)
+            })
+            assert scanned == expected
