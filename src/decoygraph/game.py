@@ -168,10 +168,7 @@ class PathColumns:
         out = cls(graph, ())
         out.paths = paths
         for name in ("incidence", "weights", "totals"):
-            merged = np.empty(getattr(old, name).shape[:-1] + (len(paths),))
-            merged[..., ~is_new] = getattr(old, name)
-            merged[..., is_new] = getattr(fresh, name)
-            setattr(out, name, merged)
+            setattr(out, name, splice(getattr(old, name), getattr(fresh, name), is_new))
         return out
 
     @cached_property
@@ -218,6 +215,16 @@ class PathColumns:
         edge of path j, else 0.0."""
         hits = rows @ self.incidence
         return np.minimum(hits, 1.0, out=hits)
+
+
+def splice(old, new, is_new) -> np.ndarray:
+    """Per-path values, along the last axis, of a path set that holds the
+    paths of ``old`` in order where the bool array ``is_new`` is false and
+    those of ``new`` where it is true."""
+    out = np.empty(old.shape[:-1] + is_new.shape)
+    out[..., ~is_new] = old
+    out[..., is_new] = new
+    return out
 
 
 def allocation_rows(graph: AttackGraph, actions, pinned=()):

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, GameParams, PathColumns, allocation_rows, build_matrix, defender_actions, payoff_matrix
-from .graph import AttackGraph, NodeRecord, augment, augmented_paths, graph_from_parts
+from .game import GameInstance, GameParams, PathColumns, allocation_rows, build_matrix, splice
+from .graph import NodeRecord, graph_from_parts
 from .lp import GameSolution, LinearProgram, solve_lp, solve_zero_sum
-from .zeroday import normalize_criterion, rank_records
+from .zeroday import _Augmentation, _check_strategy, normalize_criterion, rank_records
 
 PREVENTION_TOL = 1e-6
 
@@ -107,6 +107,8 @@ def weighted_residual(report, allocation, probabilities=None) -> float:
 
 
 def _candidate_probabilities(rows, probabilities):
+    if not rows:
+        raise ValueError("empty zero-day report")
     if probabilities is None:
         return np.full(len(rows), 1.0 / len(rows))
     probs = np.asarray(
@@ -128,8 +130,6 @@ def lp_mitigation(report, probabilities=None, budget: float = 1.0) -> Mitigation
     P(e) * impact(e) * y(e); zero-coefficient candidates keep x = 0.
     """
     rows = list(report)
-    if not rows:
-        raise ValueError("empty zero-day report")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     probs = _candidate_probabilities(rows, probabilities)
@@ -156,64 +156,31 @@ def _support(actions, policy):
     return [actions[i] for i in index], probs[index].tolist()
 
 
-def _candidate_paths(graph: AttackGraph, paths, edges):
-    """Per candidate edge: the path set of ``graph`` augmented with it
-    (``paths`` is the original one), the mask of the paths that take the new
-    edge, and those new paths."""
-    out = []
-    for paths2 in augmented_paths(graph, paths, edges):
-        is_new = np.array([len(graph.edges) in path.edges for path in paths2], dtype=bool)
-        out.append((paths2, is_new, [path for path, new in zip(paths2, is_new) if new]))
-    return out
+def _path_scores(shared: _Augmentation, support, pins, old):
+    """Attacker reward and capture probability of every path of every
+    candidate's augmented graph against a mixed defender (its support) with
+    the frozenset ``pins``: one (2, paths) array per candidate. ``old``
+    holds those of the base paths.
 
-
-def _new_path_scores(graph: AttackGraph, params, support, pins, edges, new_paths):
-    """Attacker reward and capture probability of the paths that each
-    candidate in ``edges`` adds (``new_paths``, one list per candidate),
-    against a mixed defender with ``pins``: one pair of arrays per candidate.
-
-    Every new path takes its own candidate edge as edge id E. The paths of
-    the candidates whose edge is pinned are scored together on ``graph``
-    augmented with one of those edges, the others on ``graph`` augmented
-    with one of theirs. Either way edge E of a path is covered exactly when
-    its own edge is pinned, and every other pin is an original edge or an
-    off-graph location, as on the path's own augmented graph, so each path
-    meets the allocation rows its own graph would give.
+    The new paths of all candidates whose own edge is pinned are scored in
+    one batch on their shared stand-in graph, the others in another.
     """
-    pinned = {tuple(p) for p in pins}
-    flat, own_pinned, stand_ins = [], [], {}
-    for edge, paths in zip(edges, new_paths):
-        flat.extend(paths)
-        own_pinned.extend([edge in pinned] * len(paths))
-        if paths:
-            stand_ins.setdefault(edge in pinned, edge)
-    own_pinned = np.array(own_pinned, dtype=bool)
-    rewards = np.empty(len(flat))
-    capture = np.empty(len(flat))
-    for covered, stand_in in stand_ins.items():
-        group = own_pinned == covered
-        columns = PathColumns(augment(graph, stand_in), [path for path, g in zip(flat, group) if g])
-        rewards[group], capture[group] = _mixed_columns(columns, params, support, pins)
-    bounds = np.cumsum([len(paths) for paths in new_paths])[:-1]
-    return list(zip(np.split(rewards, bounds), np.split(capture, bounds)))
-
-
-def _spliced(old, new, is_new):
-    """Per-path arrays in one candidate's augmented path order, from those
-    of the old paths and those of its new paths (pairs of reward and
-    capture)."""
-    out = []
-    for old_values, new_values in zip(old, new):
-        merged = np.empty(is_new.size)
-        merged[~is_new] = old_values
-        merged[is_new] = new_values
-        out.append(merged)
-    return out
+    own_pinned = np.array([edge in pins for edge, paths in zip(shared.edges, shared.new_paths) for _ in paths])
+    new = np.empty((2, own_pinned.size))
+    flat = [path for paths in shared.new_paths for path in paths]
+    for flag in (False, True):
+        group = own_pinned == flag
+        if group.any():
+            columns = PathColumns(shared.stand_in(flag, pins), [path for path, g in zip(flat, group) if g])
+            new[:, group] = _mixed_columns(columns, shared.params, support, pins)
+    scores = splice(np.tile(old, len(shared.new_masks)), new, np.concatenate(shared.new_masks))
+    return np.split(scores, np.cumsum([mask.size for mask in shared.new_masks])[:-1], axis=1)
 
 
 def _mixed_columns(columns: PathColumns, params, support, pinned):
-    """Attacker reward and capture probability per path against a mixed
-    defender (its support) with deterministic pinned extras.
+    """Attacker reward and capture probability per path, as a (2, paths)
+    array, against a mixed defender (its support) with deterministic pinned
+    extras.
 
     The sums run over the support rows one at a time, in support order, and
     are vectorised across paths only. The attacker's old paths tie exactly at
@@ -222,12 +189,11 @@ def _mixed_columns(columns: PathColumns, params, support, pinned):
     """
     allocations, probs = support
     rows, deployed = allocation_rows(columns.graph, allocations, pinned)
-    rewards = np.zeros(len(columns.paths))
-    capture = np.zeros(len(columns.paths))
+    scores = np.zeros((2, len(columns.paths)))
     for prob, row, hit in zip(probs, columns.payoff(params, rows, deployed), columns.hits(rows)):
-        rewards -= prob * row
-        capture += prob * hit
-    return rewards, capture
+        scores[0] -= prob * row
+        scores[1] += prob * hit
+    return scores
 
 
 def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimistic") -> NatureGame:
@@ -248,17 +214,16 @@ def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimisti
     for j, rec in enumerate(rows):
         unmitigated = rec.pessimistic if criterion == "pessimistic" else rec.optimistic
         matrix[:, j] = -unmitigated
-    support = _support(game1.actions, x1)
+    support = _support(game1.actions, _check_strategy(x1, game1.actions))
+    shared = _Augmentation(game1, [rec.edge for rec in rows])
     # each location is a non-edge of the original graph, so its pin covers no
     # old path and only costs honeypot_cost: the old paths score the same
     # against every location
-    old = _mixed_columns(PathColumns(game1.graph, game1.paths), game1.params, support, (rows[0].edge,))
-    edges = [tuple(rec.edge) for rec in rows]
-    candidates = _candidate_paths(game1.graph, game1.paths, edges)
-    for i, (edge, (_, is_new, new_paths)) in enumerate(zip(edges, candidates)):
-        (new,) = _new_path_scores(game1.graph, game1.params, support, (edge,), [edge], [new_paths])
-        rewards, _ = _spliced(old, new, is_new)
-        matrix[i, i] = -float(np.max(rewards))
+    old = _mixed_columns(PathColumns(game1.graph, game1.paths), game1.params, support, (shared.edges[0],))
+    for i, edge in enumerate(shared.edges):
+        pins = frozenset((edge,))
+        new = _mixed_columns(PathColumns(shared.stand_in(True, pins), shared.new_paths[i]), game1.params, support, pins)
+        matrix[i, i] = -float(np.max(splice(old[0], new[0], shared.new_masks[i])))
     solution = solve_zero_sum(matrix)
     return NatureGame(locations=tuple(r.edge for r in rows), matrix=matrix, solution=solution)
 
@@ -337,59 +302,47 @@ def evaluate_mitigation(
     Capture proportions are exact expectations under both strategies.
     """
     criterion = normalize_criterion(criterion)
-    graph, params = game1.graph, game1.params
-    policy = plan.modified_policy if plan.modified_policy is not None else np.asarray(x_base)
-    pins = tuple(tuple(p) for p in plan.pinned_edges)
+    x_base = _check_strategy(x_base, game1.actions)
+    policy = x_base if plan.modified_policy is None else _check_strategy(plan.modified_policy, game1.actions)
+    rows = list(report)
+    shared = _Augmentation(game1, [rec.edge for rec in rows])
+    if not rows:
+        return MitigationMetrics(outcomes=[], effectiveness=0.0, capture_before=0.0, capture_after=0.0)
+    pins = frozenset(tuple(p) for p in plan.pinned_edges)
     before = _support(game1.actions, x_base)
     after = _support(game1.actions, policy)
     # a pin on a candidate edge covers no original path, and deploys one
     # honeypot whether or not that candidate's edge is added
-    base_columns = PathColumns(graph, game1.paths)
-    old_before = _mixed_columns(base_columns, params, before, ())
-    old_after = _mixed_columns(base_columns, params, after, pins)
+    base_columns = PathColumns(game1.graph, game1.paths)
+    old_after = _mixed_columns(base_columns, game1.params, after, pins)
     baseline = float(np.max(old_after[0]))
-    rows = list(report)
-    edges = [tuple(rec.edge) for rec in rows]
-    candidates = _candidate_paths(graph, game1.paths, edges)
-    new_paths = [new for _, _, new in candidates]
-    new_before = _new_path_scores(graph, params, before, (), edges, new_paths)
-    new_after = _new_path_scores(graph, params, after, pins, edges, new_paths)
-    actions2 = None  # the same for every candidate: each augmented graph has E + 1 edges
+    scores_before = _path_scores(shared, before, frozenset(), _mixed_columns(base_columns, game1.params, before, ()))
+    scores_after = _path_scores(shared, after, pins, old_after)
     outcomes = []
-    for rec, (paths2, is_new, _), new_b, new_a in zip(rows, candidates, new_before, new_after):
-        before_rewards, before_capture = _spliced(old_before, new_b, is_new)
-        after_rewards, after_capture = _spliced(old_after, new_a, is_new)
-        b_idx = int(np.argmax(before_rewards))
-
+    for k, (b, a) in enumerate(zip(scores_before, scores_after)):
+        b_idx = int(np.argmax(b[0]))
         if criterion == "optimistic":
-            graph2 = augment(graph, rec.edge)
-            if actions2 is None:
-                actions2 = defender_actions(graph2, params)
-            pinned_game = payoff_matrix(graph2, params, actions2, paths2, pins)
-            y2 = solve_zero_sum(pinned_game).attacker_strategy
-            reward_after = float(after_rewards @ y2)
-            capture_after = float(after_capture @ y2)
+            y2 = shared.game(k, pins).attacker_equilibrium
+            reward_after = float(a[0] @ y2)
+            capture_after = float(a[1] @ y2)
         else:
-            a_idx = int(np.argmax(after_rewards))
-            reward_after = float(after_rewards[a_idx])
-            capture_after = float(after_capture[a_idx])
+            a_idx = int(np.argmax(a[0]))
+            reward_after = float(a[0, a_idx])
+            capture_after = float(a[1, a_idx])
 
         outcomes.append(
             CandidateOutcome(
-                edge=rec.edge,
-                reward_before=float(before_rewards[b_idx]),
+                edge=rows[k].edge,
+                reward_before=float(b[0, b_idx]),
                 reward_after=reward_after,
-                capture_before=float(before_capture[b_idx]),
+                capture_before=float(b[1, b_idx]),
                 capture_after=capture_after,
                 prevented=bool(reward_after <= baseline + PREVENTION_TOL),
             )
         )
-    effectiveness = sum(o.prevented for o in outcomes) / len(outcomes) if outcomes else 0.0
-    capture_before = float(np.mean([o.capture_before for o in outcomes])) if outcomes else 0.0
-    capture_after = float(np.mean([o.capture_after for o in outcomes])) if outcomes else 0.0
     return MitigationMetrics(
         outcomes=outcomes,
-        effectiveness=effectiveness,
-        capture_before=capture_before,
-        capture_after=capture_after,
+        effectiveness=sum(o.prevented for o in outcomes) / len(outcomes),
+        capture_before=float(np.mean([o.capture_before for o in outcomes])),
+        capture_after=float(np.mean([o.capture_after for o in outcomes])),
     )

@@ -85,63 +85,117 @@ def _classify_dominance(column_rewards, new_mask, y1, naive_mixed) -> str:
     return "neither"
 
 
+def _check_strategy(x, actions) -> np.ndarray:
+    """``x`` as a float array, if it is a mixed strategy over ``actions``;
+    raises ``ValueError`` otherwise."""
+    x_arr = np.asarray(x, dtype=float)
+    if x_arr.shape != (len(actions),):
+        raise ValueError("strategy length does not match game-1 action count")
+    if np.any(x_arr < -STRATEGY_SUM_TOL):
+        raise ValueError("strategy has negative entries")
+    if not abs(x_arr.sum() - 1.0) <= STRATEGY_SUM_TOL:
+        raise ValueError(f"strategy sums to {x_arr.sum()!r}, not 1")
+    return x_arr
+
+
 class _Augmentation:
-    """What the candidate edges of one scan share, and the per-candidate step.
+    """The augmented games of a list of candidate edges, built from one base
+    game and independent of any defender policy.
 
     Every augmented graph has the base graph's E edges plus the candidate,
-    which gets id E. So the defender's allocations, their edge-indicator rows
-    and deployment counts, the padded base policy ``xhat`` and the columns
-    of the base paths are the same for every candidate and are built once;
-    the first candidate's graph stands in for all of them. A candidate that
-    adds no path has exactly the base paths, so all such candidates share
-    one augmented matrix, one column-reward vector and one equilibrium.
+    which gets id E. So the defender's E+1-edge allocations and the columns
+    of the base paths are the same for every candidate and are built once.
+    The allocation rows under a set of pins differ between candidates only
+    in whether the candidate's own edge is pinned: edge E is covered exactly
+    then, and every other pin is a base edge or an off-graph location that
+    only costs ``honeypot_cost``. So one candidate's graph per "own edge
+    pinned" flag stands in for all candidates with that flag. A candidate
+    that adds no path has exactly the base paths, so all such candidates
+    with the same flag share one augmented game.
     """
 
-    def __init__(self, game1: GameInstance, x1, y1, edges):
-        graph, params = game1.graph, game1.params
-        self.graph, self.params, self.y1 = graph, params, y1
+    def __init__(self, game1: GameInstance, edges):
+        self.graph, self.params, self.base_paths = game1.graph, game1.params, game1.paths
         self.edges = [tuple(edge) for edge in edges]
-        self.path_sets = augmented_paths(graph, game1.paths, self.edges)
-        self.stand_in = augment(graph, self.edges[0])
-        self.actions = defender_actions(self.stand_in, params)
-        self.rows, self.deployed = allocation_rows(self.stand_in, self.actions)
-        self.base_columns = PathColumns(self.stand_in, game1.paths)
-        x_arr = np.asarray(x1, dtype=float)
-        if np.any(x_arr < -STRATEGY_SUM_TOL):
-            raise ValueError("strategy has negative entries")
-        if abs(x_arr.sum() - 1.0) > STRATEGY_SUM_TOL:
-            raise ValueError(f"strategy sums to {x_arr.sum()!r}, not 1")
-        if x_arr.size != len(game1.actions):
-            raise ValueError("strategy length does not match game-1 action count")
-        index = {action: i for i, action in enumerate(self.actions)}
-        self.xhat = np.zeros(len(self.actions))
-        self.xhat[[index[action] for action in game1.actions]] = x_arr
-        self.naive = float(np.max(-(x_arr @ game1.matrix)))
-        self.naive_mixed = float(-(x_arr @ game1.matrix @ np.asarray(y1))) if y1 is not None else None
-        self.no_path_game = None
+        self.path_sets = augmented_paths(self.graph, self.base_paths, self.edges)
+        new_id = len(self.graph.edges)
+        self.new_masks = [np.array([new_id in path.edges for path in paths], dtype=bool) for paths in self.path_sets]
+        self._stand_ins = {}
+        self._rows = {}
+        self._no_path_games = {}
 
-    def game(self, k, new_mask) -> "_AugmentedGame":
-        """Candidate k's augmented game; those that add no path share one."""
-        adds_path = bool(new_mask.any())
-        if not adds_path and self.no_path_game is not None:
-            return self.no_path_game
-        columns = PathColumns.spliced(self.stand_in, self.path_sets[k], self.base_columns, new_mask)
-        game2 = _AugmentedGame(columns.payoff(self.params, self.rows, self.deployed), self.xhat)
+    @cached_property
+    def new_paths(self) -> list[list]:
+        """Per candidate, the paths that take its edge, in path order."""
+        return [[path for path, new in zip(paths, mask) if new] for paths, mask in zip(self.path_sets, self.new_masks)]
+
+    def stand_in(self, own_pinned: bool, pins=frozenset()) -> AttackGraph:
+        """The augmented graph of the first candidate whose edge is in
+        ``pins`` exactly when ``own_pinned``; every such candidate meets the
+        same allocation rows on it as on its own augmented graph."""
+        if (own_pinned, pins) not in self._stand_ins:
+            edge = next(edge for edge in self.edges if (edge in pins) == own_pinned)
+            self._stand_ins[own_pinned, pins] = augment(self.graph, edge)
+        return self._stand_ins[own_pinned, pins]
+
+    @cached_property
+    def actions(self) -> tuple[tuple[int, ...], ...]:
+        """The defender actions of every augmented game."""
+        return defender_actions(self.stand_in(False), self.params)
+
+    @cached_property
+    def base_columns(self) -> PathColumns:
+        return PathColumns(self.stand_in(False), self.base_paths)
+
+    def game(self, k, pins=frozenset()) -> "_AugmentedGame":
+        """Candidate k's augmented game with honeypots pinned at the (u, v)
+        locations in the frozenset ``pins``. Only the games that candidates
+        share are kept."""
+        key = (self.edges[k] in pins, pins)
+        adds_path = self.new_masks[k].any()
+        if not adds_path and key in self._no_path_games:
+            return self._no_path_games[key]
+        if key not in self._rows:
+            self._rows[key] = allocation_rows(self.stand_in(*key), self.actions, pins)
+        columns = PathColumns.spliced(self.stand_in(*key), self.path_sets[k], self.base_columns, self.new_masks[k])
+        game2 = _AugmentedGame(columns.payoff(self.params, *self._rows[key]))
         if not adds_path:
-            self.no_path_game = game2
+            self._no_path_games[key] = game2
         return game2
 
-    def record(self, k, *, criterion, pessimistic_mode, status, compute_optimistic) -> ZeroDayRecord:
-        """The scan record of candidate k."""
-        paths2 = self.path_sets[k]
-        new_mask = np.array([len(self.graph.edges) in path.edges for path in paths2])
+
+class _AugmentedGame:
+    """One augmented payoff matrix and, when first asked for, its
+    equilibrium attacker strategy."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    @cached_property
+    def attacker_equilibrium(self):
+        return solve_zero_sum(self.matrix).attacker_strategy
+
+
+def _records(game1, x1, y1, work, *, criterion, pessimistic_mode) -> list[ZeroDayRecord]:
+    """The scan record of each (edge, status, compute_optimistic) in
+    ``work`` against the base policy ``x1``."""
+    x_arr = _check_strategy(x1, game1.actions)
+    shared = _Augmentation(game1, [edge for edge, _, _ in work])
+    index = {action: i for i, action in enumerate(shared.actions)}
+    xhat = np.zeros(len(shared.actions))
+    xhat[[index[action] for action in game1.actions]] = x_arr
+    naive = float(np.max(-(x_arr @ game1.matrix)))
+    naive_mixed = float(-(x_arr @ game1.matrix @ np.asarray(y1))) if y1 is not None else None
+    records = []
+    for k, (edge, status, compute_optimistic) in enumerate(work):
+        new_mask = shared.new_masks[k]
         new_path_count = int(new_mask.sum())
-        game2 = self.game(k, new_mask)
-        column_rewards = game2.column_rewards
+        game2 = shared.game(k)
+        column_rewards = -(xhat @ game2.matrix)
 
         br_index = int(np.argmax(column_rewards))
         br_value = float(column_rewards[br_index])
-        br_strategy = pure_strategy(len(paths2), br_index)
+        br_strategy = pure_strategy(new_mask.size, br_index)
 
         if compute_optimistic or pessimistic_mode == "game2_ne":
             y2 = game2.attacker_equilibrium
@@ -159,36 +213,22 @@ class _Augmentation:
             reward_for_criterion, strategy_for_criterion = pessimistic, pes_strategy
         else:
             reward_for_criterion, strategy_for_criterion = optimistic, y2
-        impact = reward_for_criterion - self.naive
-        exploit_probability = float(strategy_for_criterion[new_mask].sum()) if new_path_count else 0.0
-        dominance = _classify_dominance(column_rewards, new_mask, self.y1, self.naive_mixed)
-
-        return ZeroDayRecord(
-            edge=self.edges[k],
-            status=status,
-            naive=self.naive,
-            optimistic=optimistic,
-            pessimistic=pessimistic,
-            impact=impact,
-            new_path_count=new_path_count,
-            exploit_probability=exploit_probability,
-            dominance=dominance,
-            criterion=criterion,
-            pessimistic_mode=pessimistic_mode,
+        records.append(
+            ZeroDayRecord(
+                edge=shared.edges[k],
+                status=status,
+                naive=naive,
+                optimistic=optimistic,
+                pessimistic=pessimistic,
+                impact=reward_for_criterion - naive,
+                new_path_count=new_path_count,
+                exploit_probability=float(strategy_for_criterion[new_mask].sum()) if new_path_count else 0.0,
+                dominance=_classify_dominance(column_rewards, new_mask, y1, naive_mixed),
+                criterion=criterion,
+                pessimistic_mode=pessimistic_mode,
+            )
         )
-
-
-class _AugmentedGame:
-    """One augmented payoff matrix, the padded base policy's column rewards
-    on it and, when first asked for, its equilibrium attacker strategy."""
-
-    def __init__(self, matrix, xhat):
-        self.matrix = matrix
-        self.column_rewards = -(xhat @ matrix)
-
-    @cached_property
-    def attacker_equilibrium(self):
-        return solve_zero_sum(self.matrix).attacker_strategy
+    return records
 
 
 def _check_options(criterion, pessimistic_mode) -> str:
@@ -220,13 +260,10 @@ def evaluate_candidate(
     ``entries=`` raises ``ValueError``.
     """
     criterion = _check_options(criterion, pessimistic_mode)
-    return _Augmentation(game1, x1, y1, [edge]).record(
-        0,
-        criterion=criterion,
-        pessimistic_mode=pessimistic_mode,
-        status=status,
-        compute_optimistic=compute_optimistic,
+    (record,) = _records(
+        game1, x1, y1, [(edge, status, compute_optimistic)], criterion=criterion, pessimistic_mode=pessimistic_mode
     )
+    return record
 
 
 def rank_records(records) -> list[ZeroDayRecord]:
@@ -255,17 +292,15 @@ def scan_candidates(
     work = [c for c in generate_zero_day_candidates(graph) if c.status in ("analyzed", "dominant")]
     if not work:
         return []
-    shared = _Augmentation(game1, solution.defender_strategy, solution.attacker_strategy, [c.edge for c in work])
-    records = [
-        shared.record(
-            k,
-            criterion=criterion,
-            pessimistic_mode=pessimistic_mode,
-            status=c.status,
-            compute_optimistic=not (c.status == "dominant" and criterion == "pessimistic"),
-        )
-        for k, c in enumerate(work)
-    ]
+    work = [(c.edge, c.status, not (c.status == "dominant" and criterion == "pessimistic")) for c in work]
+    records = _records(
+        game1,
+        solution.defender_strategy,
+        solution.attacker_strategy,
+        work,
+        criterion=criterion,
+        pessimistic_mode=pessimistic_mode,
+    )
     return rank_records(records)
 
 

@@ -2,14 +2,17 @@ import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import decoygraph.cli
-from decoygraph import mitigation
-from decoygraph.game import GameParams, build_matrix, pure_strategy
-from decoygraph.graph import NodeRecord, augment, enumerate_attack_paths, graph_from_parts
+from decoygraph import mitigation, zeroday
+from decoygraph.game import GameParams, build_matrix, defender_actions, payoff_matrix, pure_strategy
+from decoygraph.graph import NodeRecord, augment, enumerate_attack_paths, generate_zero_day_candidates, graph_from_parts
 from decoygraph.lp import solve_zero_sum
 from decoygraph.mitigation import (
     MitigationPlan,
@@ -24,7 +27,7 @@ from decoygraph.mitigation import (
 )
 from decoygraph.zeroday import CRITERIA, PESSIMISTIC_MODES, scan_candidates
 from oracles import literal_reward
-from test_zeroday import make_record, records_digest
+from test_zeroday import _outcome, make_record, records_digest, scan_games
 
 
 class TestAlpha:
@@ -89,6 +92,10 @@ class TestLpMitigation:
             raw = rng.dirichlet(np.ones(len(rows)))
             alloc = {r.edge: float(v) for r, v in zip(rows, raw)}
             assert plan.objective <= weighted_residual(rows, alloc) + 1e-9
+
+    def test_empty_report_is_rejected(self):
+        with pytest.raises(ValueError, match="empty zero-day report"):
+            weighted_residual([], {})
 
     def test_explicit_probabilities(self):
         rows = [make_record((1, 3), 10.0), make_record((2, 5), 10.0)]
@@ -272,6 +279,36 @@ class TestEvaluateMitigation:
         with pytest.raises(ValueError, match="criterion"):
             evaluate_mitigation(plan, game, x, rows, criterion="hopeful")
 
+    @pytest.mark.parametrize("criterion", ["pessimistic", "optimistic"])
+    def test_empty_report_gives_zero_metrics(self, tree7, criterion):
+        _, _, game, sol = tree7
+        metrics = evaluate_mitigation(none_mitigation(), game, sol.defender_strategy, [], criterion=criterion)
+        assert metrics == mitigation.MitigationMetrics(outcomes=[], effectiveness=0.0, capture_before=0.0,
+                                                       capture_after=0.0)
+
+    def test_bad_strategies_are_rejected(self, tree7):
+        graph, params, game, sol = tree7
+        rows = scan_candidates(graph, params, solution=sol)
+        x = sol.defender_strategy
+        assert len(game.actions) == 7
+        plan = alpha_mitigation(rows, k=1)
+        cases = [
+            (pure_strategy(3, 0), none_mitigation(), "length"),
+            (5 * x, none_mitigation(), "sums to"),
+            (np.append(x, 0.0), none_mitigation(), "length"),
+            (x, MitigationPlan(kind="critical_point", modified_policy=pure_strategy(2, 0)), "length"),
+            (x, MitigationPlan(kind="critical_point", modified_policy=x - pure_strategy(7, 0)), "negative"),
+        ]
+        for x_base, bad_plan, message in cases:
+            for criterion in ("pessimistic", "optimistic"):
+                with pytest.raises(ValueError, match=message):
+                    evaluate_mitigation(bad_plan, game, x_base, rows, criterion=criterion)
+        with pytest.raises(ValueError, match="sums to"):
+            nature_game(game, 5 * x, rows[:3])
+        with pytest.raises(ValueError, match="length"):
+            nature_game(game, pure_strategy(3, 0), rows[:3])
+        assert evaluate_mitigation(plan, game, x, rows).outcomes
+
 
 def oracle_columns(graph, params, policy, actions, edge, pins):
     """Attacker reward and capture probability of every path of the graph
@@ -321,6 +358,91 @@ def test_pessimistic_outcomes_match_literal_oracle(request, name, stride):
             assert any(o.capture_after == pytest.approx(c, abs=1e-12) for c in best_response_captures(*after))
 
 
+@st.composite
+def mitigation_cases(draw):
+    """A ``scan_games`` game, a report of 1-8 of its non-edges in drawn
+    order, 0-3 pins among the report's edges plus maybe one base-graph edge,
+    and a plan policy: the base policy, or its mix with a pure action (as an
+    index into the actions and a weight)."""
+    graph, params = draw(scan_games())
+    non_edges = [c.edge for c in generate_zero_day_candidates(graph)]
+    assume(non_edges)
+    edges = draw(st.lists(st.sampled_from(non_edges), unique=True, min_size=1, max_size=8))
+    pins = draw(st.lists(st.sampled_from(edges), unique=True, max_size=3))
+    if draw(st.booleans()):
+        pins.append(draw(st.sampled_from(graph.edges)))
+    mix = draw(st.none() | st.tuples(st.integers(min_value=0, max_value=10**6), st.sampled_from((0.25, 0.5, 0.9))))
+    return graph, params, edges, tuple(pins), mix
+
+
+def recording(solved):
+    """``solve_zero_sum`` that first appends the matrix it is given to
+    ``solved``."""
+    def solve(matrix, **kwargs):
+        solved.append(np.array(matrix))
+        return solve_zero_sum(matrix, **kwargs)
+
+    return solve
+
+
+@given(mitigation_cases())
+@settings(max_examples=60, deadline=None)
+def test_mitigation_and_nature_match_literal_oracles(case):
+    # evaluate_mitigation and nature_game against per-candidate games built
+    # from scratch: augment -> full enumeration -> literal rewards, and the
+    # pinned augmented game -> solve_zero_sum for the optimistic criterion
+    graph, params, edges, pins, mix = case
+    game = build_matrix(graph, params)
+    sol = _outcome(lambda: solve_zero_sum(game.matrix))
+    assume(not isinstance(sol, tuple))
+    x = sol.defender_strategy
+    policy = x
+    if mix is not None:
+        index, weight = mix
+        policy = (1 - weight) * x + weight * pure_strategy(len(x), index % len(x))
+    report = [make_record(edge, 0.0) for edge in edges]
+    plan = MitigationPlan(kind="critical_point", pinned_edges=pins, modified_policy=policy)
+    before = [oracle_columns(graph, params, x, game.actions, edge, ()) for edge in edges]
+    after = [oracle_columns(graph, params, policy, game.actions, edge, pins) for edge in edges]
+
+    metrics = evaluate_mitigation(plan, game, x, report)
+    assert [o.edge for o in metrics.outcomes] == edges
+    for o, b, a in zip(metrics.outcomes, before, after):
+        assert o.reward_before == pytest.approx(max(b[0]), rel=1e-12, abs=1e-9)
+        assert o.reward_after == pytest.approx(max(a[0]), rel=1e-12, abs=1e-9)
+        assert any(o.capture_before == pytest.approx(c, abs=1e-12) for c in best_response_captures(*b))
+        assert any(o.capture_after == pytest.approx(c, abs=1e-12) for c in best_response_captures(*a))
+
+    games = []
+    for edge in edges:
+        graph2 = augment(graph, edge)
+        games.append(payoff_matrix(graph2, params, defender_actions(graph2, params),
+                                   enumerate_attack_paths(graph2), pins))
+    expected = _outcome(lambda: [solve_zero_sum(matrix).attacker_strategy for matrix in games])
+    solved = []
+    with patch.object(mitigation, "solve_zero_sum", recording(solved)), \
+            patch.object(zeroday, "solve_zero_sum", recording(solved)):
+        metrics = _outcome(lambda: evaluate_mitigation(plan, game, x, report, criterion="optimistic"))
+    bits = {(m.shape, m.tobytes()) for m in games}
+    assert {(m.shape, m.tobytes()) for m in solved} <= bits
+    if isinstance(expected, tuple):
+        assert metrics == expected
+    else:
+        assert {(m.shape, m.tobytes()) for m in solved} == bits
+        for o, b, a, y2 in zip(metrics.outcomes, before, after, expected):
+            assert o.reward_before == pytest.approx(max(b[0]), rel=1e-12, abs=1e-9)
+            assert o.reward_after == pytest.approx(np.dot(a[0], y2), rel=1e-12, abs=1e-9)
+            assert o.capture_after == pytest.approx(np.dot(a[1], y2), abs=1e-12)
+
+    solved = []
+    with patch.object(mitigation, "solve_zero_sum", recording(solved)):
+        _outcome(lambda: nature_game(game, policy, report))
+    (matrix,) = solved
+    for i, edge in enumerate(edges):
+        rewards, _ = oracle_columns(graph, params, policy, game.actions, edge, (edge,))
+        assert matrix[i, i] == pytest.approx(-max(rewards), rel=1e-12, abs=1e-9)
+
+
 @pytest.mark.parametrize("criterion", ["pessimistic", "optimistic"])
 def test_paths_enumerated_once_per_candidate(tree7, monkeypatch, criterion):
     # each candidate's paths come from one incremental call for the whole
@@ -342,13 +464,32 @@ def test_paths_enumerated_once_per_candidate(tree7, monkeypatch, criterion):
     for module in (decoygraph.graph, decoygraph.game, decoygraph.zeroday, decoygraph.mitigation, decoygraph.cli):
         if hasattr(module, "enumerate_attack_paths"):
             monkeypatch.setattr(module, "enumerate_attack_paths", counted(full, module.enumerate_attack_paths))
-    monkeypatch.setattr(mitigation, "augmented_paths", counted(incremental, mitigation.augmented_paths))
+    monkeypatch.setattr(zeroday, "augmented_paths", counted(incremental, zeroday.augmented_paths))
     first = evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion=criterion)
     assert full == [(game.graph,)]
     assert [[tuple(e) for e in args[2]] for args in incremental] == [[r.edge for r in rows]]
     again = evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion=criterion)
     assert full == [(game.graph,)] * 2
     assert again.outcomes == first.outcomes
+
+
+def test_one_lp_per_distinct_pinned_game(net20, monkeypatch):
+    # an optimistic plan solves each candidate's pinned game once, and one
+    # game for all the candidates that add no path
+    graph, params, game, sol = net20
+    rows = scan_candidates(graph, params, solution=sol)
+    calls = []
+
+    def counted(matrix, **kwargs):
+        calls.append(matrix.shape)
+        return solve_zero_sum(matrix, **kwargs)
+
+    monkeypatch.setattr(zeroday, "solve_zero_sum", counted)
+    metrics = evaluate_mitigation(alpha_mitigation(rows, k=1), game, sol.defender_strategy, rows,
+                                  criterion="optimistic")
+    assert len(metrics.outcomes) == len(rows) == 358
+    with_paths = sum(r.new_path_count > 0 for r in rows)
+    assert len(calls) == with_paths + 1 == 235
 
 
 def _sha256_lines(lines):

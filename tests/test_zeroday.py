@@ -302,11 +302,10 @@ def test_scan_fast_path_matches_full_rebuild(case):
     work = [c for c in generate_zero_day_candidates(graph) if c.status in ("analyzed", "dominant")]
     if not work:
         return
-    shared = zeroday._Augmentation(game1, sol.defender_strategy, sol.attacker_strategy, [c.edge for c in work])
+    shared = zeroday._Augmentation(game1, [c.edge for c in work])
     games2 = [build_matrix(augment(graph, c.edge), params) for c in work]
     for k, game2 in enumerate(games2):
-        new_mask = np.array([len(graph.edges) in path.edges for path in game2.paths])
-        matrix = shared.game(k, new_mask).matrix
+        matrix = shared.game(k).matrix
         assert np.array_equal(matrix, game2.matrix)
         if params.terminate_on_capture:
             assert np.array_equal(matrix, literal_matrix(game2.graph, params, game2.actions, game2.paths, ()))
