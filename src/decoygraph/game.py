@@ -198,8 +198,11 @@ class PathColumns:
         hops = self.incidence.sum(axis=0)
         costs = params.honeypot_cost * deployed
         if not params.terminate_on_capture:
-            base = -params.esc * self.totals + params.attack_cost_per_hop * hops
-            return base[None, :] + (params.cap + params.esc) * (rows @ self.weights) - costs[:, None]
+            out = rows @ self.weights
+            out *= params.cap + params.esc
+            out += -params.esc * self.totals + params.attack_cost_per_hop * hops
+            out -= costs[:, None]
+            return out
         positions, values = self._steps
         covered = np.hstack([rows > 0, np.zeros((len(rows), 1), dtype=bool)])[:, positions]
         first = covered.argmax(axis=2)

@@ -1,10 +1,11 @@
 """Dense two-phase simplex for small LPs and zero-sum matrix games.
 
-Self-contained on purpose: game matrices here stay small (a few thousand
-rows at most) and a dependency-free solver keeps runs reproducible bit for
-bit. Pivoting is Dantzig's rule with a permanent switch to Bland's rule
-after a long degenerate streak, so the solver is deterministic and cannot
-cycle.
+Self-contained on purpose: a dependency-free solver keeps runs reproducible
+bit for bit. A game's tableau, up to tens of thousands of columns, is the
+only game-sized array its solve holds, and pivots update it in cache-sized
+row blocks. Pivoting is Dantzig's rule with a permanent switch to Bland's
+rule after a long degenerate streak, so the solver is deterministic and
+cannot cycle.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ FEASIBILITY_TOL = 1e-9
 GAP_TOL = 1e-6
 
 _DEGENERATE_STREAK = 100
+# floats in _pivot's row-block buffer (256 KiB): the update of one block
+# stays in cache, where a whole large tableau would not
+_BLOCK_ELEMENTS = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -71,13 +75,25 @@ class GameSolution:
     attacker_gap: float
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int, outer=None) -> None:
-    """Pivot on (row, col); ``outer`` optionally receives the rank-one update
-    so that a loop of pivots on one tableau allocates it once."""
+def _row_block(tableau: np.ndarray) -> np.ndarray:
+    """Scratch space for :func:`_pivot`: whole tableau rows, at least one."""
+    rows = min(len(tableau), max(1, _BLOCK_ELEMENTS // tableau.shape[1]))
+    return np.empty((rows, tableau.shape[1]))
+
+
+def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int, block: np.ndarray) -> None:
+    """Pivot on (row, col), updating the tableau one row block at a time
+    through ``block`` (from :func:`_row_block`)."""
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.multiply(factors[:, None], tableau[row], out=outer)
+    step = len(block)
+    # the pivot row's own zero-factor update turns its -0.0 entries into
+    # +0.0, so blocks after it must read a copy taken before that update
+    pivot_row = tableau[row] if step == len(tableau) else tableau[row].copy()
+    for start in range(0, len(tableau), step):
+        part = tableau[start : start + step]
+        part -= np.multiply(factors[start : start + step, None], pivot_row, out=block[: len(part)])
     basis[row] = col
 
 
@@ -85,7 +101,7 @@ def _iterate(tableau, basis, allowed, tol, max_iter):
     """Run simplex pivots until the (minimization) objective row is optimal.
 
     The tableau is updated in place, so the views taken here stay current,
-    and every pivot reuses the same ratio and outer-product buffers.
+    and every pivot reuses the same ratio and row-block buffers.
     """
     m = tableau.shape[0] - 1
     every_allowed = bool(allowed.all())
@@ -93,7 +109,7 @@ def _iterate(tableau, basis, allowed, tol, max_iter):
     rhs = tableau[:m, -1]
     eligible = np.empty(m, dtype=bool)
     ratios = np.empty(m)
-    outer = np.empty_like(tableau)
+    block = _row_block(tableau)
     bland = False
     streak = 0
     for _ in range(max_iter):
@@ -123,7 +139,7 @@ def _iterate(tableau, basis, allowed, tol, max_iter):
                 bland = True
         else:
             streak = 0
-        _pivot(tableau, basis, row, col, outer)
+        _pivot(tableau, basis, row, col, block)
     raise SolverError("simplex iteration limit reached")
 
 
@@ -136,15 +152,11 @@ def _price_out(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
             tableau[-1] -= cb * tableau[i]
 
 
-def _solve_canonical(c, a_ub, b_ub, a_eq, b_eq, tol=FEASIBILITY_TOL, want_duals=False):
+def _solve_canonical(c, a_ub, b_ub, a_eq, b_eq, tol=FEASIBILITY_TOL):
     """min c @ x s.t. a_ub x <= b_ub, a_eq x == b_eq, x >= 0.
 
-    Returns (x, duals) where ``duals`` are the nonnegative multipliers of the
-    inequality rows, extracted from the optimal basis. Dual extraction is
-    only supported on the pure-inequality fast path (every b_ub >= 0, no
-    equalities); elsewhere it returns None. Slack columns start the basis
-    wherever the right-hand side allows; other rows get artificial variables
-    and a phase-1 clean-up.
+    Slack columns start the basis wherever the right-hand side allows; other
+    rows get artificial variables and a phase-1 clean-up.
     """
     n = c.size
     rows = []
@@ -161,7 +173,7 @@ def _solve_canonical(c, a_ub, b_ub, a_eq, b_eq, tol=FEASIBILITY_TOL, want_duals=
         # feasible region is the nonnegative orthant
         if np.any(c < -tol):
             raise UnboundedError("objective is unbounded")
-        return np.zeros(n), np.zeros(0)
+        return np.zeros(n)
 
     n_slack = sum(1 for _, _, kind in rows if kind == "le")
     n_surplus = sum(1 for _, _, kind in rows if kind == "ge")
@@ -207,7 +219,7 @@ def _solve_canonical(c, a_ub, b_ub, a_eq, b_eq, tol=FEASIBILITY_TOL, want_duals=
             if basis[i] in art_set:
                 structural = np.nonzero(np.abs(tableau[i, : n + n_slack + n_surplus]) > tol)[0]
                 if structural.size:
-                    _pivot(tableau, basis, i, int(structural[0]))
+                    _pivot(tableau, basis, i, int(structural[0]), _row_block(tableau))
                     keep_rows.append(i)
                 # else: redundant row, drop it
             else:
@@ -229,21 +241,7 @@ def _solve_canonical(c, a_ub, b_ub, a_eq, b_eq, tol=FEASIBILITY_TOL, want_duals=
     for i, b in enumerate(basis):
         x[b] = tableau[i, -1]
 
-    duals = None
-    if want_duals and not art_cols:
-        # pure <= system: initial matrix is [G | I]; duals come from the
-        # optimal basis through B' y = c_B, negated to the >= 0 convention
-        initial = np.zeros((m, width))
-        for i, (a, _, _) in enumerate(rows):
-            initial[i, :n] = a
-            initial[i, n + i] = 1.0
-        cost_basis = cost2[basis]
-        try:
-            y = np.linalg.solve(initial[:, basis].T, cost_basis)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular optimal basis during dual extraction") from exc
-        duals = -y
-    return x[:n], duals
+    return x[:n]
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -315,7 +313,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     c_std = np.concatenate([c_work * sign, -c_work[split]]) if split else c_work * sign
 
-    u, _ = _solve_canonical(c_std, g, h, e, f)
+    u = _solve_canonical(c_std, g, h, e, f)
     x = offset + sign * u[:n]
     for k, j in enumerate(split):
         x[j] -= u[n + k]
@@ -331,24 +329,41 @@ def _normalize_strategy(raw: np.ndarray) -> np.ndarray:
     return strategy / total
 
 
-def _game_sides(matrix: np.ndarray, tol: float):
-    """Both equilibrium strategies of the game ``matrix`` via one LP.
+def _game_sides(m_arr: np.ndarray, transposed: bool, tol: float):
+    """Both equilibrium strategies (row player's first) of the game G, which
+    is ``m_arr``, or ``-m_arr.T`` if ``transposed``, via one LP.
 
-    After the classical constant shift to a positive matrix M', the column
-    player solves max 1'q s.t. M'q <= 1 (optimum 1/V', strategy q/1'q); the
-    multipliers of those rows solve the covering dual and normalize into the
-    row player's strategy.
+    After the classical constant shift to a positive matrix G', the column
+    player solves max 1'q s.t. G'q <= 1 (optimum 1/V', strategy q/1'q); the
+    multipliers of those rows, from B'y = c_B on the optimal basis B of
+    [G' | I], normalize into the row player's strategy.
     """
-    shift = max(0.0, 1.0 - float(matrix.min()))
-    shifted = matrix + shift
-    m, n = shifted.shape
-    q, duals = _solve_canonical(
-        -np.ones(n), shifted, np.ones(m), np.zeros((0, n)), np.zeros(0), tol=tol, want_duals=True
-    )
-    scale = q.sum()
-    if scale <= tol:
+    game, sign = (m_arr.T, -1.0) if transposed else (m_arr, 1.0)
+    shift = max(0.0, 1.0 - float(-m_arr.max() if transposed else m_arr.min()))
+    m, n = game.shape
+    tableau = np.zeros((m + 1, n + m + 1))
+    np.multiply(game, sign, out=tableau[:m, :n])
+    tableau[:m, :n] += shift
+    tableau[np.arange(m), np.arange(n, n + m)] = 1.0
+    tableau[:m, -1] = 1.0
+    tableau[-1, :n] = -1.0
+    basis = list(range(n, n + m))
+    _iterate(tableau, basis, np.ones(n + m, dtype=bool), tol, 2000 + 50 * (2 * m + n))
+
+    basic = np.asarray(basis)
+    structural = basic < n
+    q = np.zeros(n)
+    q[basic[structural]] = tableau[:m, -1][structural]
+    basis_matrix = np.zeros((m, m))
+    basis_matrix[:, structural] = game[:, basic[structural]] * sign + shift
+    basis_matrix[basic[~structural] - n, ~structural] = 1.0
+    try:
+        y = np.linalg.solve(basis_matrix.T, np.where(structural, -1.0, 0.0))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("singular optimal basis during dual extraction") from exc
+    if q.sum() <= tol:
         raise SolverError("degenerate scale in matrix-game transformation")
-    return _normalize_strategy(duals), _normalize_strategy(q)
+    return _normalize_strategy(-y), _normalize_strategy(q)
 
 
 def solve_zero_sum(matrix, *, tol: float = FEASIBILITY_TOL) -> GameSolution:
@@ -366,9 +381,9 @@ def solve_zero_sum(matrix, *, tol: float = FEASIBILITY_TOL) -> GameSolution:
         raise ValueError("payoff matrix contains non-finite entries")
 
     if m_arr.shape[0] <= m_arr.shape[1]:
-        defender, attacker = _game_sides(m_arr, tol)
+        defender, attacker = _game_sides(m_arr, False, tol)
     else:
-        attacker, defender = _game_sides(-m_arr.T, tol)
+        attacker, defender = _game_sides(m_arr, True, tol)
     value = float(defender @ m_arr @ attacker)
     defender_gap = max(0.0, float(np.max(m_arr @ attacker)) - value)
     attacker_gap = max(0.0, value - float(np.min(defender @ m_arr)))

@@ -4,8 +4,8 @@ Everything here is deliberately written from scratch against the model
 definitions (brute-force recursion, literal per-node reward sums, the 2x2
 closed form, best responses and equilibrium gaps recomputed from a matrix,
 strategy padding by action lookup), or frozen as a verbatim copy of an
-earlier implementation (the simplex loop), and must stay independent of the
-library code paths it checks.
+earlier implementation (the simplex loop and the zero-sum game path), and
+must stay independent of the library code paths it checks.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from decoygraph.lp import FEASIBILITY_TOL, GAP_TOL, SolverError, UnboundedError
+from decoygraph.lp import FEASIBILITY_TOL, GAP_TOL, InfeasibleError, SolverError, UnboundedError
 
 
 def brute_force_paths(node_ids, edges, entry_ids, target_ids, max_hops=None):
@@ -201,3 +201,160 @@ def _iterate(tableau, basis, allowed, tol, max_iter):
             streak = 0
         _pivot(tableau, basis, row, col)
     raise SolverError("simplex iteration limit reached")
+
+
+# The zero-sum game path of ``decoygraph.lp`` as it was before its tableau
+# was built in place and its duals read from the basic columns only, copied
+# verbatim: it builds the shifted matrix and the full dual-extraction matrix
+# and runs on the reference loop above. Tests swap ``_game_sides`` into
+# ``decoygraph.lp`` through ``reference_game_sides``.
+def _price_out(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
+    tableau[-1, :] = 0.0
+    tableau[-1, : cost.size] = cost
+    for i, b in enumerate(basis):
+        cb = tableau[-1, b]
+        if cb != 0.0:
+            tableau[-1] -= cb * tableau[i]
+
+
+def _solve_canonical(c, a_ub, b_ub, a_eq, b_eq, tol=FEASIBILITY_TOL, want_duals=False):
+    """min c @ x s.t. a_ub x <= b_ub, a_eq x == b_eq, x >= 0.
+
+    Returns (x, duals) where ``duals`` are the nonnegative multipliers of the
+    inequality rows, extracted from the optimal basis. Dual extraction is
+    only supported on the pure-inequality fast path (every b_ub >= 0, no
+    equalities); elsewhere it returns None. Slack columns start the basis
+    wherever the right-hand side allows; other rows get artificial variables
+    and a phase-1 clean-up.
+    """
+    n = c.size
+    rows = []
+    for a, b in zip(a_ub, b_ub):
+        if b >= 0:
+            rows.append((a, b, "le"))
+        else:
+            rows.append((-a, -b, "ge"))
+    for a, b in zip(a_eq, b_eq):
+        rows.append((a, b, "eq") if b >= 0 else (-a, -b, "eq"))
+
+    m = len(rows)
+    if m == 0:
+        # feasible region is the nonnegative orthant
+        if np.any(c < -tol):
+            raise UnboundedError("objective is unbounded")
+        return np.zeros(n), np.zeros(0)
+
+    n_slack = sum(1 for _, _, kind in rows if kind == "le")
+    n_surplus = sum(1 for _, _, kind in rows if kind == "ge")
+    n_art = sum(1 for _, _, kind in rows if kind in ("ge", "eq"))
+    width = n + n_slack + n_surplus + n_art
+
+    tableau = np.zeros((m + 1, width + 1))
+    basis = [-1] * m
+    slack_at = n
+    surplus_at = n + n_slack
+    art_at = n + n_slack + n_surplus
+    art_cols = []
+    for i, (a, b, kind) in enumerate(rows):
+        tableau[i, :n] = a
+        tableau[i, -1] = b
+        if kind == "le":
+            tableau[i, slack_at] = 1.0
+            basis[i] = slack_at
+            slack_at += 1
+        else:
+            if kind == "ge":
+                tableau[i, surplus_at] = -1.0
+                surplus_at += 1
+            tableau[i, art_at] = 1.0
+            basis[i] = art_at
+            art_cols.append(art_at)
+            art_at += 1
+
+    max_iter = 2000 + 50 * (m + width)
+
+    if art_cols:
+        cost1 = np.zeros(width)
+        cost1[art_cols] = 1.0
+        _price_out(tableau, basis, cost1)
+        allowed = np.ones(width, dtype=bool)
+        _iterate(tableau, basis, allowed, tol, max_iter)
+        if -tableau[-1, -1] > 1e-7:
+            raise InfeasibleError("constraints are infeasible")
+        # drive leftover artificials out of the basis, dropping redundant rows
+        art_set = set(art_cols)
+        keep_rows = []
+        for i in range(m):
+            if basis[i] in art_set:
+                structural = np.nonzero(np.abs(tableau[i, : n + n_slack + n_surplus]) > tol)[0]
+                if structural.size:
+                    _pivot(tableau, basis, i, int(structural[0]))
+                    keep_rows.append(i)
+                # else: redundant row, drop it
+            else:
+                keep_rows.append(i)
+        tableau = tableau[keep_rows + [m], :]
+        basis = [basis[i] for i in keep_rows]
+        m = len(basis)
+        allowed = np.ones(width, dtype=bool)
+        allowed[art_cols] = False
+    else:
+        allowed = np.ones(width, dtype=bool)
+
+    cost2 = np.zeros(width)
+    cost2[:n] = c
+    _price_out(tableau, basis, cost2)
+    _iterate(tableau, basis, allowed, tol, max_iter)
+
+    x = np.zeros(width)
+    for i, b in enumerate(basis):
+        x[b] = tableau[i, -1]
+
+    duals = None
+    if want_duals and not art_cols:
+        # pure <= system: initial matrix is [G | I]; duals come from the
+        # optimal basis through B' y = c_B, negated to the >= 0 convention
+        initial = np.zeros((m, width))
+        for i, (a, _, _) in enumerate(rows):
+            initial[i, :n] = a
+            initial[i, n + i] = 1.0
+        cost_basis = cost2[basis]
+        try:
+            y = np.linalg.solve(initial[:, basis].T, cost_basis)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular optimal basis during dual extraction") from exc
+        duals = -y
+    return x[:n], duals
+
+
+def _normalize_strategy(raw: np.ndarray) -> np.ndarray:
+    strategy = np.clip(raw, 0.0, None)
+    total = strategy.sum()
+    if total <= 0.0:
+        raise SolverError("degenerate strategy mass in matrix-game transformation")
+    return strategy / total
+
+
+def _game_sides(matrix: np.ndarray, tol: float):
+    """Both equilibrium strategies of the game ``matrix`` via one LP.
+
+    After the classical constant shift to a positive matrix M', the column
+    player solves max 1'q s.t. M'q <= 1 (optimum 1/V', strategy q/1'q); the
+    multipliers of those rows solve the covering dual and normalize into the
+    row player's strategy.
+    """
+    shift = max(0.0, 1.0 - float(matrix.min()))
+    shifted = matrix + shift
+    m, n = shifted.shape
+    q, duals = _solve_canonical(
+        -np.ones(n), shifted, np.ones(m), np.zeros((0, n)), np.zeros(0), tol=tol, want_duals=True
+    )
+    scale = q.sum()
+    if scale <= tol:
+        raise SolverError("degenerate scale in matrix-game transformation")
+    return _normalize_strategy(duals), _normalize_strategy(q)
+
+
+def reference_game_sides(m_arr, transposed, tol):
+    """The reference ``_game_sides`` behind the package's signature."""
+    return _game_sides(-m_arr.T if transposed else m_arr, tol)

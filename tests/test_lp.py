@@ -1,8 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -235,16 +236,31 @@ def _outcome(solve, *args):
     return tuple(np.asarray(v).tobytes() for v in vars(result).values())
 
 
-def _both_loops(streak, solve, *args):
-    """(faster loop, reference loop) outcomes of ``solve(*args)``; with
-    ``streak`` 0 Bland's rule runs from the first pivot in both."""
+# the package's pivot routine is swapped for the reference's, or the
+# package's game path for the reference's, which runs on the reference loop
+REFERENCE_LOOP = {
+    "_iterate": oracles._iterate,
+    "_pivot": lambda tableau, basis, row, col, block: oracles._pivot(tableau, basis, row, col),
+}
+REFERENCE_GAME_PATH = {"_game_sides": oracles.reference_game_sides}
+# so few floats per row block that every tableau is updated in several blocks
+SMALL_BLOCK = 8
+
+
+def _against_reference(streak, block, reference, solve, *args):
+    """(package, reference) outcomes of ``solve(*args)``, where the reference
+    run swaps the functions of ``reference`` into ``lp``. With ``streak`` 0
+    Bland's rule runs from the first pivot in both; ``block`` sets the
+    package's row-block size."""
     with pytest.MonkeyPatch.context() as mp:
         if streak is not None:
             mp.setattr(lp, "_DEGENERATE_STREAK", streak)
             mp.setattr(oracles, "_DEGENERATE_STREAK", streak)
+        if block is not None:
+            mp.setattr(lp, "_BLOCK_ELEMENTS", block)
         fast = _outcome(solve, *args)
-        mp.setattr(lp, "_iterate", oracles._iterate)
-        mp.setattr(lp, "_pivot", oracles._pivot)
+        for name, function in reference.items():
+            mp.setattr(lp, name, function)
         return fast, _outcome(solve, *args)
 
 
@@ -254,13 +270,53 @@ small_games = st.integers(1, 6).flatmap(
 )
 
 
+@pytest.mark.parametrize("block", [None, SMALL_BLOCK])
 @pytest.mark.parametrize("streak", [None, 0])
 @given(matrix=small_games)
 @settings(max_examples=150, deadline=None)
-def test_simplex_loop_matches_reference_on_games(streak, matrix):
+def test_simplex_loop_matches_reference_on_games(streak, block, matrix):
     for oriented in (matrix, -matrix.T):
-        fast, reference = _both_loops(streak, solve_zero_sum, oriented)
+        fast, reference = _against_reference(streak, block, REFERENCE_LOOP, solve_zero_sum, oriented)
         assert fast == reference
+
+
+@pytest.mark.parametrize("streak", [None, 0])
+@given(matrix=small_games)
+@settings(max_examples=150, deadline=None)
+def test_game_path_matches_reference(streak, matrix):
+    for oriented in (matrix, -matrix.T):
+        fast, reference = _against_reference(
+            streak, SMALL_BLOCK, REFERENCE_GAME_PATH, solve_zero_sum, oriented
+        )
+        assert fast == reference
+
+
+@st.composite
+def pivots(draw):
+    """A small tableau with signed zeros, and a (row, col) with a nonzero entry."""
+    shape = (draw(st.integers(2, 6)), draw(st.integers(1, 6)))
+    entries = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    tableau = draw(arrays(float, shape, elements=entries))
+    row, col = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+    assume(tableau[row, col] != 0.0)
+    return tableau, row, col
+
+
+@given(case=pivots())
+# row 1 gets -0.0 - 1 * (-0.0) = +0.0; a later block that read the pivot
+# row after its own update made it +0.0 would get -0.0 - 1 * 0.0 = -0.0
+@example(case=(np.array([[1.0, -0.0, 0.0, 0.0, 0.0], [1.0, -0.0, 0.0, 0.0, 0.0]]), 0, 0))
+@settings(max_examples=100, deadline=None)
+def test_blocked_pivot_matches_reference_bit_for_bit(case):
+    # game outcomes cannot show the sign of a zero in the tableau, so this
+    # pins every entry, -0.0 included, of one blocked pivot
+    tableau, row, col = case
+    expected = tableau.copy()
+    oracles._pivot(expected, list(range(len(tableau))), row, col)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_BLOCK_ELEMENTS", SMALL_BLOCK)
+        lp._pivot(tableau, list(range(len(tableau))), row, col, lp._row_block(tableau))
+    assert tableau.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -280,9 +336,25 @@ def small_lps(draw):
     )
 
 
+@pytest.mark.parametrize("block", [None, SMALL_BLOCK])
 @pytest.mark.parametrize("streak", [None, 0])
 @given(program=small_lps())
 @settings(max_examples=150, deadline=None)
-def test_simplex_loop_matches_reference_on_lps(streak, program):
-    fast, reference = _both_loops(streak, solve_lp, program)
+def test_simplex_loop_matches_reference_on_lps(streak, block, program):
+    fast, reference = _against_reference(streak, block, REFERENCE_LOOP, solve_lp, program)
     assert fast == reference
+
+
+def test_game_solve_peak_memory_stays_near_one_tableau():
+    # the LP of a 4000x40 game has 40 rows; its tableau is the one
+    # game-sized array the solve may hold, next to a row block and vectors
+    matrix = np.random.default_rng(14).integers(-20, 21, size=(4000, 40)).astype(float)
+    m, n = min(matrix.shape), max(matrix.shape)
+    tableau_bytes = (m + 1) * (n + m + 1) * 8
+    tracemalloc.start()
+    try:
+        solve_zero_sum(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * tableau_bytes
