@@ -35,11 +35,8 @@ from .graph import (
 )
 from .lp import (
     GameSolution,
-    InfeasibleError,
-    LinearProgram,
     SolverError,
     UnboundedError,
-    solve_lp,
     solve_zero_sum,
 )
 from .mitigation import (
@@ -72,8 +69,6 @@ __all__ = [
     "GameParams",
     "GameSolution",
     "GraphError",
-    "InfeasibleError",
-    "LinearProgram",
     "MitigationPlan",
     "NatureGame",
     "NodeRecord",
@@ -103,7 +98,6 @@ __all__ = [
     "rank_records",
     "report_csv",
     "scan_candidates",
-    "solve_lp",
     "solve_zero_sum",
     "sweep",
     "weighted_residual",

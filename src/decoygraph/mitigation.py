@@ -1,12 +1,13 @@
 """Zero-day mitigation planning and evaluation.
 
 Four planners: pin honeypots on the highest-impact candidate edges, place a
-mitigating honeypot by minimizing a probability-weighted impact residual via
-an LP, hedge against an adversarial choice of vulnerability by solving an
-auxiliary game against nature, or reshape the base policy itself by boosting
-the values of critical nodes and re-solving. Pinned honeypots are
-deterministic extras layered on top of every base allocation draw; they cost
-the usual per-honeypot fee and do not consume the budget.
+mitigating honeypot by minimizing a probability-weighted impact residual (a
+continuous knapsack: candidates take the budget greedily in descending gain,
+ties in report order), hedge against an adversarial choice of vulnerability
+by solving an auxiliary game against nature, or reshape the base policy
+itself by boosting the values of critical nodes and re-solving. Pinned
+honeypots are deterministic extras layered on top of every base allocation
+draw; they cost the usual per-honeypot fee and do not consume the budget.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .game import GameInstance, GameParams, PathColumns, allocation_rows, build_matrix, splice
 from .graph import NodeRecord, graph_from_parts
-from .lp import GameSolution, LinearProgram, solve_lp, solve_zero_sum
+from .lp import FEASIBILITY_TOL, GameSolution, solve_zero_sum
 from .zeroday import _Augmentation, _check_strategy, normalize_criterion, rank_records
 
 PREVENTION_TOL = 1e-6
@@ -117,34 +118,45 @@ def _candidate_probabilities(rows, probabilities):
     )
     if probs.size != len(rows):
         raise ValueError("one probability per candidate required")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("candidate probabilities must be nonnegative and sum to 1")
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError("candidate probabilities must be finite, nonnegative and sum to 1")
     return probs
 
 
 def lp_mitigation(report, probabilities=None, budget: float = 1.0) -> MitigationPlan:
     """Minimize the weighted impact residual over fractional pin placements.
 
-    Solves min J(x) over 0 <= x(e) <= 1 with sum x <= budget. With budget 1
-    the optimum concentrates on the candidate maximizing
-    P(e) * impact(e) * y(e); zero-coefficient candidates keep x = 0.
+    Solves min J(x) over 0 <= x(e) <= 1 with sum x <= budget, the continuous
+    knapsack max sum g(e) x(e) with gains g(e) = P(e) * impact(e) * y(e).
+    Greedy (Dantzig, 1957): candidates in descending gain, ties in report
+    order, each take x = 1 until the budget left is at most
+    1 + FEASIBILITY_TOL, which the next one takes whole; candidates whose
+    gain is not above FEASIBILITY_TOL keep x = 0. These are the pivots, and
+    the values, of Dantzig's simplex rule on this LP's tableau.
     """
     rows = list(report)
+    if not np.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     probs = _candidate_probabilities(rows, probabilities)
     gains = np.array([p * r.impact * r.exploit_probability for p, r in zip(probs, rows)])
-    lp = LinearProgram(
-        objective=gains,
-        lhs_ineq=np.ones((1, len(rows))),
-        rhs_ineq=np.array([budget]),
-        bounds=(0.0, 1.0),
-        maximize=True,
-    )
-    sol = solve_lp(lp)
-    allocation = {r.edge: float(x) for r, x in zip(rows, sol.x)}
-    residual = float(sum(p * r.impact for p, r in zip(probs, rows)) - sol.objective)
-    pinned = tuple(r.edge for r, x in zip(rows, sol.x) if x > 1.0 - 1e-9)
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("candidate gains P(e) * impact(e) * y(e) must be finite")
+    x = np.zeros(len(rows))
+    left = float(budget) + 0.0  # a budget of -0.0 places +0.0
+    for i in np.argsort(-gains, kind="stable"):
+        if gains[i] <= FEASIBILITY_TOL:
+            break
+        if left <= 1.0 + FEASIBILITY_TOL:
+            x[i] = left
+            break
+        x[i] = 1.0
+        left -= 1.0
+    objective = float(gains @ x)
+    allocation = {r.edge: float(v) for r, v in zip(rows, x)}
+    residual = float(sum(p * r.impact for p, r in zip(probs, rows)) - objective)
+    pinned = tuple(r.edge for r, v in zip(rows, x) if v > 1.0 - 1e-9)
     return MitigationPlan(kind="lp", pinned_edges=pinned, distribution=allocation, objective=residual)
 
 

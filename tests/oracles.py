@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch against the model
 definitions (brute-force recursion, literal per-node reward sums, the 2x2
 closed form, best responses and equilibrium gaps recomputed from a matrix,
 strategy padding by action lookup), or frozen as a verbatim copy of an
-earlier implementation (the simplex loop and the zero-sum game path), and
+earlier implementation (the simplex loop, the two-phase simplex and the
+zero-sum game path), and
 must stay independent of the library code paths it checks.
 """
 
@@ -14,7 +15,11 @@ from itertools import permutations
 
 import numpy as np
 
-from decoygraph.lp import FEASIBILITY_TOL, GAP_TOL, InfeasibleError, SolverError, UnboundedError
+from decoygraph.lp import FEASIBILITY_TOL, GAP_TOL, SolverError, UnboundedError
+
+
+class InfeasibleError(SolverError):
+    """The feasible region is empty (raised by ``_solve_canonical`` only)."""
 
 
 def brute_force_paths(node_ids, edges, entry_ids, target_ids, max_hops=None):
@@ -207,7 +212,9 @@ def _iterate(tableau, basis, allowed, tol, max_iter):
 # was built in place and its duals read from the basic columns only, copied
 # verbatim: it builds the shifted matrix and the full dual-extraction matrix
 # and runs on the reference loop above. Tests swap ``_game_sides`` into
-# ``decoygraph.lp`` through ``reference_game_sides``.
+# ``decoygraph.lp`` through ``reference_game_sides``. ``_solve_canonical``
+# is also the general two-phase simplex that the ``lp`` mitigation plan's
+# knapsack was once solved with, and is that plan's reference.
 def _price_out(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
     tableau[-1, :] = 0.0
     tableau[-1, : cost.size] = cost

@@ -130,6 +130,15 @@ def test_mitigate_alpha_metrics(fixture_dir, capsys):
     assert doc["capture_after"] == 1.0
 
 
+def test_mitigate_rejects_infinite_budget(fixture_dir, capsys):
+    code, out, err = run(
+        capsys, "mitigate", "-g", str(fixture_dir / "line3.json"), "-p",
+        str(fixture_dir / "line3_params.json"), "--strategy", "lp", "--mitigation-budget", "inf",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
 def test_plan_distribution_mass_checked_against_budget():
     doc = {
         "kind": "lp", "pinned_edges": [], "effectiveness": 0.0, "capture_before": 0.0,

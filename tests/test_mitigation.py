@@ -6,14 +6,15 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import decoygraph.cli
+import oracles
 from decoygraph import mitigation, zeroday
 from decoygraph.game import GameParams, build_matrix, defender_actions, payoff_matrix, pure_strategy
 from decoygraph.graph import NodeRecord, augment, enumerate_attack_paths, generate_zero_day_candidates, graph_from_parts
-from decoygraph.lp import solve_zero_sum
+from decoygraph.lp import FEASIBILITY_TOL as TOL, solve_zero_sum
 from decoygraph.mitigation import (
     MitigationPlan,
     alpha_mitigation,
@@ -105,6 +106,88 @@ class TestLpMitigation:
         assert plan.distribution[(2, 5)] == pytest.approx(1.0)
         with pytest.raises(ValueError, match="sum to 1"):
             lp_mitigation(rows, probabilities=[0.4, 0.4])
+
+    def test_picks_extreme_coefficient(self):
+        # maximize 13 x1 + 0 x2 over the budgeted box
+        rows = [replace(make_record((1, 3), 13.0), exploit_probability=1.0), make_record((2, 5), 0.0)]
+        plan = lp_mitigation(rows, probabilities=[1.0, 0.0], budget=1.0)
+        assert plan.distribution == {(1, 3): 1.0, (2, 5): 0.0}
+        assert plan.pinned_edges == ((1, 3),)
+
+    def test_non_finite_probabilities_are_rejected(self):
+        rows = [replace(make_record(edge, 4.0), exploit_probability=1.0) for edge in ((1, 3), (2, 5))]
+        for bad in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                weighted_residual(rows, {}, probabilities=bad)
+            with pytest.raises(ValueError, match="finite"):
+                lp_mitigation(rows, probabilities=bad)
+
+    def test_non_finite_budget_and_gains_are_rejected(self):
+        rows = [replace(make_record((1, 3), 4.0), exploit_probability=1.0)]
+        for budget in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="budget"):
+                lp_mitigation(rows, budget=budget)
+        rows.append(replace(make_record((2, 5), np.inf), exploit_probability=1.0))
+        with pytest.raises(ValueError, match="gains"):
+            lp_mitigation(rows)
+
+
+# budgets where the ratio test's tie tolerance, the sign of a zero budget
+# and fractional remainders decide the placement
+KNAPSACK_BUDGETS = st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 2.75, 1.0 + 1e-10, 1.0 - 1e-10, 1.0 + 2e-9, 2.0 + 1e-10]
+) | st.floats(0.0, 9.0)
+
+
+@st.composite
+def knapsacks(draw):
+    """(target gains, probability weights or None, exploit probabilities,
+    budget): gains from a small integer set, so ties are common, and
+    around FEASIBILITY_TOL, the simplex's optimality threshold."""
+    n = draw(st.integers(1, 8))
+    targets = st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0]) | st.sampled_from(
+        [0.5 * TOL, TOL, TOL * (1 - 1e-6), TOL * (1 + 1e-6), 2 * TOL]
+    )
+    gains = draw(st.lists(targets, min_size=n, max_size=n))
+    weights = draw(st.none() | st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    ys = draw(st.lists(st.sampled_from([1.0, 0.5, 0.25]), min_size=n, max_size=n))
+    return gains, weights, ys, draw(KNAPSACK_BUDGETS)
+
+
+def reference_knapsack(gains, budget):
+    """The knapsack's optimum by the reference two-phase simplex: max
+    gains @ x s.t. sum x <= budget, 0 <= x <= 1, with the bounds as unit
+    rows after the budget row; ``0.0 + u`` as the bound substitution
+    x = 0 + 1 * u gave."""
+    n = gains.size
+    u, _ = oracles._solve_canonical(
+        -gains, np.vstack([np.ones((1, n)), np.eye(n)]), np.concatenate([[budget], np.ones(n)]),
+        np.zeros((0, n)), np.zeros(0),
+    )
+    return 0.0 + u
+
+
+@given(case=knapsacks())
+@example(case=([1.0, 2.0, 2.0], None, [1.0] * 3, 1.0))  # ties go to the earliest
+@example(case=([1.0, 1.0], None, [1.0] * 2, 1.0 + 1e-10))  # tie with the budget row
+@example(case=([0.5 * TOL, 1.0], None, [1.0] * 2, 2.0))  # gains at or below the tolerance
+@example(case=([1.0], None, [1.0], -0.0))  # a -0.0 budget places +0.0
+@settings(max_examples=300, deadline=None)
+def test_lp_mitigation_matches_reference_simplex(case):
+    targets, weights, ys, budget = case
+    n = len(targets)
+    probs = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, float) / sum(weights)
+    rows = [
+        replace(make_record((i, 100 + i), g / (p * y)), exploit_probability=y)
+        for i, (g, p, y) in enumerate(zip(targets, probs, ys))
+    ]
+    plan = lp_mitigation(rows, probabilities=None if weights is None else list(probs), budget=budget)
+    gains = np.array([p * r.impact * r.exploit_probability for p, r in zip(probs, rows)])
+    x = reference_knapsack(gains, budget)
+    assert np.array(list(plan.distribution.values())).tobytes() == x.tobytes()
+    assert plan.pinned_edges == tuple(r.edge for r, v in zip(rows, x) if v > 1.0 - 1e-9)
+    residual = float(sum(p * r.impact for p, r in zip(probs, rows)) - float(gains @ x))
+    assert plan.objective.hex() == residual.hex()
 
 
 class TestNatureGame:
