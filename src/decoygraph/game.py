@@ -114,16 +114,14 @@ def build_matrix(
     params: GameParams,
     *,
     entries=None,
-    action_limit: int = DEFAULT_ACTION_LIMIT,
-    path_limit: int = 1_000_000,
 ) -> GameInstance:
     """Assemble the full game: both action spaces and the payoff matrix.
 
     Deterministic given graph and params; ``entries`` restricts which entry
     nodes may start attack paths (compromised-entry sweeps).
     """
-    actions = defender_actions(graph, params, limit=action_limit)
-    paths = enumerate_attack_paths(graph, entries=entries, limit=path_limit)
+    actions = defender_actions(graph, params)
+    paths = enumerate_attack_paths(graph, entries=entries)
     matrix = payoff_matrix(graph, params, actions, paths)
     return GameInstance(graph=graph, params=params, actions=actions, paths=paths, matrix=matrix)
 
@@ -158,17 +156,12 @@ class PathColumns:
                 total_value += v
             self.totals[j] = total_value
 
-    @classmethod
-    def spliced(cls, graph: AttackGraph, paths, old: "PathColumns", is_new) -> "PathColumns":
-        """``PathColumns(graph, paths)`` for a path set that holds
-        ``old.paths``, in order, where the bool array ``is_new`` is false.
-        Those columns are copied from ``old``, which must be built on a graph
-        with the same edge ids, and only the new paths are walked."""
-        fresh = cls(graph, [path for path, new in zip(paths, is_new) if new])
-        out = cls(graph, ())
-        out.paths = paths
+    def take(self, index) -> "PathColumns":
+        """The columns of the paths at positions ``index``, in that order."""
+        out = PathColumns(self.graph, ())
+        out.paths = [self.paths[j] for j in index]
         for name in ("incidence", "weights", "totals"):
-            setattr(out, name, splice(getattr(old, name), getattr(fresh, name), is_new))
+            setattr(out, name, np.take(getattr(self, name), index, axis=-1))
         return out
 
     @cached_property
@@ -218,16 +211,6 @@ class PathColumns:
         edge of path j, else 0.0."""
         hits = rows @ self.incidence
         return np.minimum(hits, 1.0, out=hits)
-
-
-def splice(old, new, is_new) -> np.ndarray:
-    """Per-path values, along the last axis, of a path set that holds the
-    paths of ``old`` in order where the bool array ``is_new`` is false and
-    those of ``new`` where it is true."""
-    out = np.empty(old.shape[:-1] + is_new.shape)
-    out[..., ~is_new] = old
-    out[..., is_new] = new
-    return out
 
 
 def allocation_rows(graph: AttackGraph, actions, pinned=()):

@@ -6,7 +6,10 @@ runs reproducible bit for bit. A game's tableau, up to tens of thousands of
 columns, is the only game-sized array its solve holds, and pivots update it
 in cache-sized row blocks. Pivoting is Dantzig's rule with a permanent
 switch to Bland's rule after a long degenerate streak, so the solver is
-deterministic and cannot cycle.
+deterministic and cannot cycle. The ratio test pivots only on column
+entries above ``tol`` times the column's largest magnitude (at least 1), and
+reads right-hand sides that rounding left below zero as zero, so the
+iterate stays feasible.
 """
 
 from __future__ import annotations
@@ -94,11 +97,14 @@ def _iterate(tableau, basis, tol, max_iter):
             if reduced[col] >= -tol:
                 return
         column = tableau[:m, col]
-        np.greater(column, tol, out=eligible)
+        # entries this small beside the column's largest are mostly rounding
+        # residue, and dividing by them throws the iterate far off
+        np.greater(column, tol * float(np.abs(column).max(initial=1.0)), out=eligible)
         if not eligible.any():
             raise UnboundedError("objective is unbounded")
         ratios.fill(np.inf)
-        np.divide(rhs, column, out=ratios, where=eligible)
+        # a right-hand side that rounding left below zero counts as zero
+        np.divide(np.maximum(rhs, 0.0), column, out=ratios, where=eligible)
         best = ratios.min()
         # tie-break on the smallest basis variable index (anti-cycling aid)
         tied = (ratios <= best + tol * max(1.0, abs(best))).nonzero()[0]
@@ -158,7 +164,7 @@ def _game_sides(m_arr: np.ndarray, transposed: bool, tol: float):
     return _normalize_strategy(-y), _normalize_strategy(q)
 
 
-def solve_zero_sum(matrix, *, tol: float = FEASIBILITY_TOL) -> GameSolution:
+def solve_zero_sum(matrix) -> GameSolution:
     """Equilibrium of the zero-sum game whose row player maximizes ``matrix``.
 
     Oriented so the LP has min(rows, columns) constraints; the other side's
@@ -173,9 +179,9 @@ def solve_zero_sum(matrix, *, tol: float = FEASIBILITY_TOL) -> GameSolution:
         raise ValueError("payoff matrix contains non-finite entries")
 
     if m_arr.shape[0] <= m_arr.shape[1]:
-        defender, attacker = _game_sides(m_arr, False, tol)
+        defender, attacker = _game_sides(m_arr, False, FEASIBILITY_TOL)
     else:
-        attacker, defender = _game_sides(m_arr, True, tol)
+        attacker, defender = _game_sides(m_arr, True, FEASIBILITY_TOL)
     value = float(defender @ m_arr @ attacker)
     defender_gap = max(0.0, float(np.max(m_arr @ attacker)) - value)
     attacker_gap = max(0.0, value - float(np.min(defender @ m_arr)))

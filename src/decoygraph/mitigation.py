@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, GameParams, PathColumns, allocation_rows, build_matrix, splice
+from .game import GameInstance, GameParams, allocation_rows, build_matrix
 from .graph import NodeRecord, graph_from_parts
 from .lp import FEASIBILITY_TOL, GameSolution, solve_zero_sum
 from .zeroday import _Augmentation, _check_strategy, normalize_criterion, rank_records
@@ -96,13 +96,18 @@ def weighted_residual(report, allocation, probabilities=None) -> float:
     """Probability-weighted impact left uncovered by an allocation x.
 
     Sum over candidates of P(e) * impact(e) * (1 - y(e) * x(e)); x values
-    outside the allocation mapping count as zero.
+    outside the allocation mapping count as zero. Raises ``ValueError`` for
+    an x outside [0, 1], NaN included, or a non-finite impact.
     """
     rows = list(report)
     probs = _candidate_probabilities(rows, probabilities)
     total = 0.0
     for rec, p in zip(rows, probs):
         x_e = float(allocation.get(rec.edge, 0.0))
+        if not 0.0 <= x_e <= 1.0:
+            raise ValueError(f"allocation of {rec.edge} must be in [0, 1], got {x_e!r}")
+        if not np.isfinite(rec.impact):
+            raise ValueError(f"impact of {rec.edge} must be finite, got {rec.impact!r}")
         total += p * rec.impact * (1.0 - rec.exploit_probability * x_e)
     return total
 
@@ -168,31 +173,28 @@ def _support(actions, policy):
     return [actions[i] for i in index], probs[index].tolist()
 
 
-def _path_scores(shared: _Augmentation, support, pins, old):
+def _path_scores(shared: _Augmentation, support, pins):
     """Attacker reward and capture probability of every path of every
     candidate's augmented graph against a mixed defender (its support) with
-    the frozenset ``pins``: one (2, paths) array per candidate. ``old``
-    holds those of the base paths.
+    the frozenset ``pins``: the base paths' (2, paths) array, and one per
+    candidate, its paths in canonical order.
 
-    The new paths of all candidates whose own edge is pinned are scored in
-    one batch on their shared stand-in graph, the others in another.
+    The path table is scored once per "own edge pinned" flag that some
+    candidate has, on that flag's stand-in graph; each candidate takes its
+    columns from its flag's scores.
     """
-    own_pinned = np.array([edge in pins for edge, paths in zip(shared.edges, shared.new_paths) for _ in paths])
-    new = np.empty((2, own_pinned.size))
-    flat = [path for paths in shared.new_paths for path in paths]
-    for flag in (False, True):
-        group = own_pinned == flag
-        if group.any():
-            columns = PathColumns(shared.stand_in(flag, pins), [path for path, g in zip(flat, group) if g])
-            new[:, group] = _mixed_columns(columns, shared.params, support, pins)
-    scores = splice(np.tile(old, len(shared.new_masks)), new, np.concatenate(shared.new_masks))
-    return np.split(scores, np.cumsum([mask.size for mask in shared.new_masks])[:-1], axis=1)
+    flags = [edge in pins for edge in shared.edges]
+    tables = {flag: _mixed_columns(shared.stand_in(flag, pins), shared.columns, shared.params, support, pins)
+              for flag in dict.fromkeys(flags)}
+    base = tables[flags[0]][:, : len(shared.base_paths)]
+    return base, [np.take(tables[flag], index, axis=1) for flag, index in zip(flags, shared.index)]
 
 
-def _mixed_columns(columns: PathColumns, params, support, pinned):
-    """Attacker reward and capture probability per path, as a (2, paths)
-    array, against a mixed defender (its support) with deterministic pinned
-    extras.
+def _mixed_columns(graph, columns, params, support, pinned):
+    """Attacker reward and capture probability per path of ``columns``, as a
+    (2, paths) array, against a mixed defender (its support) with
+    deterministic pinned extras, whose allocation rows are laid out on
+    ``graph``.
 
     The sums run over the support rows one at a time, in support order, and
     are vectorised across paths only. The attacker's old paths tie exactly at
@@ -200,7 +202,7 @@ def _mixed_columns(columns: PathColumns, params, support, pinned):
     in its own order, which moves the argmax that breaks those ties.
     """
     allocations, probs = support
-    rows, deployed = allocation_rows(columns.graph, allocations, pinned)
+    rows, deployed = allocation_rows(graph, allocations, pinned)
     scores = np.zeros((2, len(columns.paths)))
     for prob, row, hit in zip(probs, columns.payoff(params, rows, deployed), columns.hits(rows)):
         scores[0] -= prob * row
@@ -228,14 +230,14 @@ def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimisti
         matrix[:, j] = -unmitigated
     support = _support(game1.actions, _check_strategy(x1, game1.actions))
     shared = _Augmentation(game1, [rec.edge for rec in rows])
-    # each location is a non-edge of the original graph, so its pin covers no
-    # old path and only costs honeypot_cost: the old paths score the same
-    # against every location
-    old = _mixed_columns(PathColumns(game1.graph, game1.paths), game1.params, support, (shared.edges[0],))
-    for i, edge in enumerate(shared.edges):
-        pins = frozenset((edge,))
-        new = _mixed_columns(PathColumns(shared.stand_in(True, pins), shared.new_paths[i]), game1.params, support, pins)
-        matrix[i, i] = -float(np.max(splice(old[0], new[0], shared.new_masks[i])))
+    # each location is a non-edge of the original graph: on its own augmented
+    # graph its pin covers exactly the candidate's edge E, on the base paths
+    # nothing, and it deploys one honeypot. So location 0's pin, on its own
+    # graph, scores every candidate's paths as that candidate's own pin does
+    pins = frozenset(shared.edges[:1])
+    scores = _mixed_columns(shared.stand_in(True, pins), shared.columns, game1.params, support, pins)
+    for i, index in enumerate(shared.index):
+        matrix[i, i] = -float(np.max(scores[0, index]))
     solution = solve_zero_sum(matrix)
     return NatureGame(locations=tuple(r.edge for r in rows), matrix=matrix, solution=solution)
 
@@ -301,9 +303,10 @@ def evaluate_mitigation(
     """Score a plan over every scanned candidate.
 
     The base policy (no pins) and the mitigated defender (modified or base
-    policy plus pins) are scored once on the original paths. Per candidate,
-    only the paths its edge adds are enumerated and scored, and their scores
-    are spliced into the original ones in path order. The attacker's
+    policy plus pins) are each scored once on the path table of
+    :class:`~decoygraph.zeroday._Augmentation`: the original paths, then the
+    paths each candidate's edge adds. Each candidate reads its paths from
+    that table through its index, in canonical order. The attacker's
     criterion (``"pessimistic"``/``"pes"`` or ``"optimistic"``/``"opt"``)
     strategy is recomputed against the mitigated defender: a best response
     (pessimistic) or the equilibrium attacker strategy of the pinned
@@ -325,11 +328,9 @@ def evaluate_mitigation(
     after = _support(game1.actions, policy)
     # a pin on a candidate edge covers no original path, and deploys one
     # honeypot whether or not that candidate's edge is added
-    base_columns = PathColumns(game1.graph, game1.paths)
-    old_after = _mixed_columns(base_columns, game1.params, after, pins)
-    baseline = float(np.max(old_after[0]))
-    scores_before = _path_scores(shared, before, frozenset(), _mixed_columns(base_columns, game1.params, before, ()))
-    scores_after = _path_scores(shared, after, pins, old_after)
+    base_after, scores_after = _path_scores(shared, after, pins)
+    baseline = float(np.max(base_after[0]))
+    _, scores_before = _path_scores(shared, before, frozenset())
     outcomes = []
     for k, (b, a) in enumerate(zip(scores_before, scores_after)):
         b_idx = int(np.argmax(b[0]))

@@ -103,31 +103,37 @@ class _Augmentation:
     game and independent of any defender policy.
 
     Every augmented graph has the base graph's E edges plus the candidate,
-    which gets id E. So the defender's E+1-edge allocations and the columns
-    of the base paths are the same for every candidate and are built once.
-    The allocation rows under a set of pins differ between candidates only
-    in whether the candidate's own edge is pinned: edge E is covered exactly
-    then, and every other pin is a base edge or an off-graph location that
-    only costs ``honeypot_cost``. So one candidate's graph per "own edge
-    pinned" flag stands in for all candidates with that flag. A candidate
-    that adds no path has exactly the base paths, so all such candidates
-    with the same flag share one augmented game.
+    which gets id E. So the defender's E+1-edge allocations are the same for
+    every candidate, and all candidates' paths share one table: ``paths``
+    holds the base paths, then each candidate's new paths, and ``index[k]``
+    lists the positions of candidate k's paths, in canonical order, in that
+    table. The table's columns are built once. The allocation rows under a
+    set of pins differ between candidates only in whether the candidate's
+    own edge is pinned: edge E is covered exactly then, and every other pin
+    is a base edge or an off-graph location that only costs
+    ``honeypot_cost``. So one candidate's graph per "own edge pinned" flag
+    stands in for all candidates with that flag. A candidate that adds no
+    path has exactly the base paths, so all such candidates with the same
+    flag share one augmented game.
     """
 
     def __init__(self, game1: GameInstance, edges):
         self.graph, self.params, self.base_paths = game1.graph, game1.params, game1.paths
         self.edges = [tuple(edge) for edge in edges]
-        self.path_sets = augmented_paths(self.graph, self.base_paths, self.edges)
         new_id = len(self.graph.edges)
-        self.new_masks = [np.array([new_id in path.edges for path in paths], dtype=bool) for paths in self.path_sets]
+        self.paths = list(self.base_paths)
+        self.new_masks, self.index = [], []
+        for paths in augmented_paths(self.graph, self.base_paths, self.edges):
+            mask = np.array([new_id in path.edges for path in paths], dtype=bool)
+            positions = np.empty(mask.size, dtype=np.intp)
+            positions[~mask] = np.arange(len(self.base_paths))
+            positions[mask] = np.arange(len(self.paths), len(self.paths) + mask.sum())
+            self.paths.extend(path for path, new in zip(paths, mask) if new)
+            self.new_masks.append(mask)
+            self.index.append(positions)
         self._stand_ins = {}
         self._rows = {}
         self._no_path_games = {}
-
-    @cached_property
-    def new_paths(self) -> list[list]:
-        """Per candidate, the paths that take its edge, in path order."""
-        return [[path for path, new in zip(paths, mask) if new] for paths, mask in zip(self.path_sets, self.new_masks)]
 
     def stand_in(self, own_pinned: bool, pins=frozenset()) -> AttackGraph:
         """The augmented graph of the first candidate whose edge is in
@@ -144,8 +150,9 @@ class _Augmentation:
         return defender_actions(self.stand_in(False), self.params)
 
     @cached_property
-    def base_columns(self) -> PathColumns:
-        return PathColumns(self.stand_in(False), self.base_paths)
+    def columns(self) -> PathColumns:
+        """The reward-kernel columns of the whole path table."""
+        return PathColumns(self.stand_in(False), self.paths)
 
     def game(self, k, pins=frozenset()) -> "_AugmentedGame":
         """Candidate k's augmented game with honeypots pinned at the (u, v)
@@ -157,8 +164,7 @@ class _Augmentation:
             return self._no_path_games[key]
         if key not in self._rows:
             self._rows[key] = allocation_rows(self.stand_in(*key), self.actions, pins)
-        columns = PathColumns.spliced(self.stand_in(*key), self.path_sets[k], self.base_columns, self.new_masks[k])
-        game2 = _AugmentedGame(columns.payoff(self.params, *self._rows[key]))
+        game2 = _AugmentedGame(self.columns.take(self.index[k]).payoff(self.params, *self._rows[key]))
         if not adds_path:
             self._no_path_games[key] = game2
         return game2

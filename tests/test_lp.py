@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from decoygraph import lp
+from decoygraph.game import GameParams, build_matrix
+from decoygraph.graph import augment, load_graph
 from decoygraph.lp import solve_zero_sum
 from oracles import best_response, solve_2x2_exact, verify_equilibrium
 
@@ -286,3 +289,39 @@ def test_game_solve_peak_memory_stays_near_one_tableau():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * tableau_bytes
+
+
+# Two augmented games that an earlier ratio test could not solve. It pivoted
+# on column entries just above FEASIBILITY_TOL and took ratios from
+# right-hand sides that rounding had left slightly negative, which moved the
+# iterate off the feasible region.
+def _augmented_game(graph_document, params, edge):
+    return build_matrix(augment(load_graph(graph_document), edge), params).matrix
+
+
+def test_near_tie_game_solves():
+    # ended with an attacker gap of 2.0
+    graph = {
+        "nodes": [
+            {"id": 0, "value": 0.0, "role": "entry"},
+            {"id": 1, "value": 0.0, "role": "target"},
+            {"id": 2, "value": 0.0, "role": "intermediate"},
+            {"id": 3, "value": 2.0, "role": "target"},
+        ],
+        "edges": [[3, 1], [0, 1], [0, 2], [0, 3]],
+    }
+    params = GameParams(cap=7.0, esc=1.0, honeypot_cost=0.0, attack_cost_per_hop=1.192092896e-07, budget=1)
+    matrix = _augmented_game(graph, params, (2, 3))
+    assert matrix.shape == (6, 5)
+    assert verify_equilibrium(matrix, solve_zero_sum(matrix)).passed
+
+
+def test_terminate_on_capture_game_solves_before_the_iteration_limit():
+    # pivoted on entries of 1e-9, drove right-hand sides to -98 and hit the
+    # iteration limit after about 34,000 pivots
+    graph = (Path(__file__).parent / "layered_m30.json").read_text()
+    params = GameParams(cap=10.0, esc=5.0, honeypot_cost=1.0, attack_cost_per_hop=4.0, budget=2,
+                        terminate_on_capture=True)
+    matrix = _augmented_game(graph, params, (13, 2))
+    assert matrix.shape == (497, 70)
+    assert verify_equilibrium(matrix, solve_zero_sum(matrix)).passed

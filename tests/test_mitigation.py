@@ -127,6 +127,14 @@ class TestLpMitigation:
         for budget in (np.inf, np.nan):
             with pytest.raises(ValueError, match="budget"):
                 lp_mitigation(rows, budget=budget)
+        assert weighted_residual(rows, {(1, 3): 1.0}) == 0.0
+        assert weighted_residual(rows, {(1, 3): -0.0}) == 4.0
+        for bad in (np.nan, np.inf, -np.inf, 7.0, 1.0 + 1e-12, -1e-12):
+            with pytest.raises(ValueError, match=r"allocation of \(1, 3\) must be in \[0, 1\]"):
+                weighted_residual(rows, {(1, 3): bad})
+        for impact in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="impact of .* must be finite"):
+                weighted_residual([replace(rows[0], impact=impact)], {})
         rows.append(replace(make_record((2, 5), np.inf), exploit_probability=1.0))
         with pytest.raises(ValueError, match="gains"):
             lp_mitigation(rows)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import decoygraph
+from decoygraph import fixtures
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,3 +23,12 @@ def test_sources_parse_as_python_3_10(folder):
     assert files
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_fixture_files_match_their_generator(tmp_path):
+    # the README, CI and the benchmark read the committed fixtures/*.json
+    written = fixtures.write_fixture_files(tmp_path)
+    committed = sorted(path.name for path in (ROOT / "fixtures").glob("*.json"))
+    assert sorted(path.name for path in written) == committed
+    for path in written:
+        assert path.read_bytes() == (ROOT / "fixtures" / path.name).read_bytes(), path.name

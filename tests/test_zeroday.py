@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from decoygraph import mitigation, zeroday
 from decoygraph.game import GameParams, build_matrix, pure_strategy
-from decoygraph.graph import NodeRecord, augment, generate_zero_day_candidates, graph_from_parts
+from decoygraph.graph import (
+    NodeRecord,
+    augment,
+    enumerate_attack_paths,
+    generate_zero_day_candidates,
+    graph_from_parts,
+)
 from decoygraph.lp import SolverError, solve_zero_sum
 from decoygraph.zeroday import (
     CRITERIA,
@@ -290,9 +296,10 @@ def _outcome(compute):
 @given(scan_games())
 @settings(max_examples=90, deadline=None)
 def test_scan_fast_path_matches_full_rebuild(case):
-    # the scan's shared stand-in graph, spliced columns and shared no-path
-    # game against augment -> build_matrix for every candidate, bit for bit;
-    # where the rebuilt game's solve fails, the scan must fail the same way
+    # the scan's shared stand-in graph, path table, per-candidate columns
+    # taken from it and shared no-path game against augment -> build_matrix
+    # for every candidate, bit for bit; where the rebuilt game's solve fails,
+    # the scan must fail the same way
     graph, params = case
     game1 = build_matrix(graph, params)
     sol = _outcome(lambda: solve_zero_sum(game1.matrix))
@@ -305,6 +312,7 @@ def test_scan_fast_path_matches_full_rebuild(case):
     shared = zeroday._Augmentation(game1, [c.edge for c in work])
     games2 = [build_matrix(augment(graph, c.edge), params) for c in work]
     for k, game2 in enumerate(games2):
+        assert [shared.paths[j] for j in shared.index[k]] == list(enumerate_attack_paths(augment(graph, work[k].edge)))
         matrix = shared.game(k).matrix
         assert np.array_equal(matrix, game2.matrix)
         if params.terminate_on_capture:
