@@ -47,7 +47,18 @@ def _emit(text: str, output):
 
 
 def _emit_json(document, output):
-    _emit(json.dumps(_round6(document), indent=2, sort_keys=True) + "\n", output)
+    _emit(json.dumps(_round6(document), indent=2, sort_keys=True, allow_nan=False) + "\n", output)
+
+
+def _count(text: str) -> int:
+    """argparse type of a nonnegative integer option."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def _load_inputs(args):
@@ -380,7 +391,7 @@ def build_parser() -> CliParser:
     p = sub.add_parser("zeroday-scan", help="rank hypothetical zero-day edges by impact")
     common(p, default_format="csv")
     p.add_argument("--criterion", choices=("opt", "pes"), default="pes")
-    p.add_argument("--top", type=int, default=None, help="keep only the top N rows")
+    p.add_argument("--top", type=_count, default=None, help="keep only the top N rows")
     p.add_argument("--pessimistic-y", choices=zeroday.PESSIMISTIC_MODES, default="best_response")
     p.set_defaults(func=cmd_zeroday_scan)
 
@@ -392,7 +403,7 @@ def build_parser() -> CliParser:
     p.add_argument("--k", type=int, default=1, help="pinned honeypots for alpha")
     p.add_argument("--kappa", type=float, default=1.5, help="critical-node value scale")
     p.add_argument("--mitigation-budget", type=float, default=1.0, help="LP allocation budget")
-    p.add_argument("--top-locations", type=int, default=10)
+    p.add_argument("--top-locations", type=_count, default=10)
     p.add_argument("--add-honeypot", action="store_true",
                    help="critical-point variant with one pinned honeypot")
     p.add_argument("--seed", type=int, default=0)

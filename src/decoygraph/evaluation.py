@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .game import GameInstance, GameParams, PathColumns, allocation_rows, build_matrix, pure_strategy
+from .game import GameInstance, GameParams, allocation_rows, build_matrix, pure_strategy
 from .graph import AttackGraph
 from .lp import GameSolution, solve_zero_sum
 from .zeroday import fmt6
@@ -77,15 +77,8 @@ class EvaluationResult:
         return buf.getvalue()
 
 
-def _path_value_sum(game: GameInstance, path) -> float:
-    return sum(game.graph.value(n) for n in path.nodes[1:])
-
-
 def _greedy_path_index(game: GameInstance) -> int:
-    keys = [
-        (-_path_value_sum(game, p), p.hops, p.nodes)
-        for p in game.paths
-    ]
+    keys = [(-total, p.hops, p.nodes) for total, p in zip(game.columns.totals.tolist(), game.paths)]
     return min(range(len(game.paths)), key=lambda j: keys[j])
 
 
@@ -143,7 +136,7 @@ def capture_proportion(game: GameInstance, x, y, pinned=()) -> float:
     pairs; they are combined with every defender allocation draw.
     """
     rows, _ = allocation_rows(game.graph, game.actions, pinned)
-    hit = PathColumns(game.graph, game.paths).hits(rows)
+    hit = game.columns.hits(rows)
     return float(np.asarray(x) @ hit @ np.asarray(y))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import combinations
 
@@ -56,25 +56,14 @@ def load_params(source) -> GameParams:
         document = source
     if not isinstance(document, dict):
         raise ValueError("params document must be a JSON object")
-    known = {
-        "cap", "esc", "honeypot_cost", "attack_cost_per_hop", "budget",
-        "terminate_on_capture",
-    }
-    unknown = set(document) - known
+    unknown = set(document) - {field.name for field in fields(GameParams)}
     if unknown:
         raise ValueError(f"unknown params keys: {sorted(unknown)}")
     return GameParams(**document)
 
 
 def params_to_document(params: GameParams) -> dict:
-    return {
-        "cap": params.cap,
-        "esc": params.esc,
-        "honeypot_cost": params.honeypot_cost,
-        "attack_cost_per_hop": params.attack_cost_per_hop,
-        "budget": params.budget,
-        "terminate_on_capture": params.terminate_on_capture,
-    }
+    return asdict(params)
 
 
 @dataclass(eq=False)
@@ -83,7 +72,9 @@ class GameInstance:
 
     ``actions[i]`` is a sorted tuple of edge ids, ``paths[j]`` an attack
     path, and ``matrix[i, j]`` the defender reward for that profile. The
-    attacker payoff matrix is ``-matrix``.
+    attacker payoff matrix is ``-matrix``. ``columns`` holds the paths'
+    reward-kernel table that the matrix was scored from, for later scoring
+    against the same paths. :func:`build_matrix` is the constructor.
     """
 
     graph: AttackGraph
@@ -91,6 +82,7 @@ class GameInstance:
     actions: tuple[tuple[int, ...], ...]
     paths: tuple[AttackPath, ...]
     matrix: np.ndarray
+    columns: PathColumns
 
 
 def defender_actions(
@@ -122,14 +114,9 @@ def build_matrix(
     """
     actions = defender_actions(graph, params)
     paths = enumerate_attack_paths(graph, entries=entries)
-    matrix = payoff_matrix(graph, params, actions, paths)
-    return GameInstance(graph=graph, params=params, actions=actions, paths=paths, matrix=matrix)
-
-
-def payoff_matrix(graph: AttackGraph, params: GameParams, actions, paths, pinned=()) -> np.ndarray:
-    """Defender reward of every allocation in ``actions``, plus the honeypot
-    locations ``pinned`` (see :func:`allocation_rows`), against every path."""
-    return PathColumns(graph, paths).payoff(params, *allocation_rows(graph, actions, pinned))
+    columns = PathColumns(graph, paths)
+    matrix = columns.payoff(params, *allocation_rows(graph, actions))
+    return GameInstance(graph=graph, params=params, actions=actions, paths=paths, matrix=matrix, columns=columns)
 
 
 class PathColumns:

@@ -190,8 +190,7 @@ def _validate(graph: AttackGraph) -> None:
             raise GraphError(f"duplicate edge ({u}, {v})")
         seen_edges.add((u, v))
 
-    targets = set(graph.target_ids)
-    if not (_forward_reachable(graph) & targets):
+    if _reachable(graph.successors, graph.entry_ids).isdisjoint(graph.target_ids):
         raise GraphError("no path from any entry node to any target node")
 
 
@@ -200,29 +199,19 @@ def is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _forward_reachable(graph: AttackGraph, sources=None) -> set[int]:
-    """Nodes reachable from the given sources (default: all entry nodes)."""
-    frontier = list(graph.entry_ids if sources is None else sources)
+def _reachable(neighbours, sources) -> set[int]:
+    """Nodes reachable from ``sources`` along ``neighbours`` (node -> pairs
+    of (next node, edge id)), the sources included. Pass a graph's
+    ``successors`` to search forward and its ``predecessors`` to search
+    backward."""
+    frontier = list(sources)
     seen = set(frontier)
     while frontier:
-        u = frontier.pop()
-        for v, _ in graph.successors.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen
-
-
-def _backward_reachable(graph: AttackGraph) -> set[int]:
-    """Nodes from which some target node can be reached (targets included)."""
-    frontier = list(graph.target_ids)
-    seen = set(frontier)
-    while frontier:
-        v = frontier.pop()
-        for u, _ in graph.predecessors[v]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
+        node = frontier.pop()
+        for nxt, _ in neighbours[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
     return seen
 
 
@@ -252,28 +241,8 @@ def enumerate_attack_paths(
 
     targets = set(graph.target_ids)
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def extend(node: int, node_seq: list[int], edge_seq: list[int], on_path: set[int]):
-        if node in targets and edge_seq:
-            if len(found) >= limit:
-                raise EnumerationLimitError(f"path count exceeds limit {limit}")
-            found.append((tuple(node_seq), tuple(edge_seq)))
-        if max_hops is not None and len(edge_seq) >= max_hops:
-            return
-        for succ, eid in graph.successors[node]:
-            if succ in on_path:
-                continue
-            node_seq.append(succ)
-            edge_seq.append(eid)
-            on_path.add(succ)
-            extend(succ, node_seq, edge_seq, on_path)
-            on_path.remove(succ)
-            edge_seq.pop()
-            node_seq.pop()
-
     for start in start_nodes:
-        extend(start, [start], [], {start})
-
+        _simple_walks(graph.successors, start, targets, found, max_hops=max_hops, limit=limit)
     found.sort(key=lambda item: _canonical_order(item[0]))
     return tuple(AttackPath(nodes=n, edges=e) for n, e in found)
 
@@ -335,16 +304,29 @@ def augmented_paths(
     return out
 
 
-def _simple_walks(neighbours, start: int, ends: set[int]):
+def _simple_walks(neighbours, start: int, ends: set[int], found=None, *, max_hops=None, limit=None):
     """Every simple walk from ``start`` along ``neighbours`` (node -> pairs
     of (next node, edge id)) that stops at a node of ``ends``, as (node
-    sequence, edge sequence) in walk order."""
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    sequence, edge sequence) in walk order, appended to ``found`` (a new
+    list by default), which is returned. The one depth-first search of the
+    package: attack paths are its forward walks from entries to targets,
+    and :func:`augmented_paths` joins its backward and forward walks.
+
+    ``max_hops`` bounds a walk's edge count. With ``limit``, a walk that
+    would make ``found`` longer than ``limit`` raises
+    :class:`EnumerationLimitError` instead of being appended.
+    """
+    if found is None:
+        found = []
     node_seq, edge_seq, on_walk = [start], [], {start}
 
     def extend(node: int):
         if node in ends:
+            if limit is not None and len(found) >= limit:
+                raise EnumerationLimitError(f"path count exceeds limit {limit}")
             found.append((tuple(node_seq), tuple(edge_seq)))
+        if max_hops is not None and len(edge_seq) >= max_hops:
+            return
         for nxt, eid in neighbours[node]:
             if nxt in on_walk:
                 continue
@@ -369,8 +351,8 @@ def generate_zero_day_candidates(graph: AttackGraph) -> tuple[ZeroDayCandidate, 
     Everything else is analyzed. The three statuses partition the non-edges;
     output is ordered by (u, v).
     """
-    reach_targets = _backward_reachable(graph)
-    reach_entries = _forward_reachable(graph)
+    reach_targets = _reachable(graph.predecessors, graph.target_ids)
+    reach_entries = _reachable(graph.successors, graph.entry_ids)
     entries = set(graph.entry_ids)
     targets = set(graph.target_ids)
 

@@ -12,6 +12,7 @@ draw; they cost the usual per-honeypot fee and do not consume the budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,8 +260,10 @@ def critical_point_mitigation(
     base game is re-solved on the boosted values; actual rewards keep the
     true values. Optionally one honeypot is pinned on the top-impact edge.
     """
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    if not math.isfinite(kappa) or kappa < 1:
+        raise ValueError(f"kappa must be a finite number >= 1, got {kappa}")
+    if top_n < 0:
+        raise ValueError(f"top_n must be nonnegative, got {top_n}")
     ranked = rank_records(report)
     top = [r for r in ranked if r.impact > 1e-9][:top_n]
 

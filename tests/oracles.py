@@ -42,6 +42,40 @@ def brute_force_paths(node_ids, edges, entry_ids, target_ids, max_hops=None):
     return sorted(found, key=lambda s: (s[0], s[-1], s))
 
 
+def breadth_first_paths(edges, starts, target_ids, max_hops=None):
+    """Every simple path from a node of ``starts`` to a target node, as
+    (node sequence, edge ids) pairs sorted by (entry, target, nodes).
+
+    Node sequences grow one edge per round, breadth first, by scanning the
+    whole ``edges`` list (edge id = list position) for edges leaving their
+    last node towards a node not yet on them.
+    """
+    layer = [((start,), ()) for start in starts]
+    found = []
+    hops = 0
+    while layer and (max_hops is None or hops < max_hops):
+        hops += 1
+        layer = [
+            (nodes + (v,), eids + (eid,))
+            for nodes, eids in layer
+            for eid, (u, v) in enumerate(edges)
+            if u == nodes[-1] and v not in nodes
+        ]
+        found.extend(path for path in layer if path[0][-1] in target_ids)
+    return sorted(found, key=lambda path: (path[0][0], path[0][-1], path[0]))
+
+
+def reachable_closure(edges, sources):
+    """Smallest node set that holds ``sources`` and the head of every edge
+    whose tail it holds, grown to a fixed point."""
+    closure = set(sources)
+    while True:
+        grown = closure | {v for u, v in edges if u in closure}
+        if grown == closure:
+            return closure
+        closure = grown
+
+
 def literal_reward(values, edge_pairs, params, action_edge_ids, path_nodes, pinned=()):
     """Per-node evaluation of the reward sum, term by term.
 

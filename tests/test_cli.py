@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from decoygraph import fixtures
-from decoygraph.cli import main, validate_plan_document, validate_report_document
+from decoygraph.cli import _emit_json, main, validate_plan_document, validate_report_document
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,50 @@ def test_mitigate_rejects_infinite_budget(fixture_dir, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "budget" in err
+
+
+@pytest.mark.parametrize("name", ["tree7", "net20"])
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+def test_mitigate_rejects_non_finite_kappa(fixture_dir, capsys, name, kappa):
+    code, out, err = run(
+        capsys, "mitigate", "-g", str(fixture_dir / f"{name}.json"), "-p",
+        str(fixture_dir / f"{name}_params.json"), "--strategy", "critical", "--kappa", kappa,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: kappa must be a finite number >= 1, got {kappa}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeroday-scan", "--top", "-1"],
+        ["mitigate", "--strategy", "nature", "--top-locations", "-2"],
+        ["mitigate", "--strategy", "critical", "--top-locations", "-3"],
+    ],
+)
+def test_negative_top_counts_rejected_when_parsed(fixture_dir, capsys, argv):
+    inputs = ["-g", str(fixture_dir / "tree7.json"), "-p", str(fixture_dir / "tree7_params.json")]
+    code, out, err = run(capsys, *argv[:1], *inputs, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert f"expected a nonnegative integer, got '{argv[-1]}'" in err
+
+
+def test_zero_top_keeps_no_records(fixture_dir, capsys):
+    code, out, _ = run(
+        capsys, "zeroday-scan", "-g", str(fixture_dir / "tree7.json"), "-p",
+        str(fixture_dir / "tree7_params.json"), "--top", "0",
+    )
+    assert code == 0
+    assert out == "edge_u,edge_v,naive,optimistic,pessimistic,impact,y_e,dominance\n"
+
+
+def test_json_output_refuses_nan(capsys):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _emit_json({"kappa": math.nan}, None)
+    assert capsys.readouterr().out == ""
+
 
 def test_plan_distribution_mass_checked_against_budget():
     doc = {

@@ -15,7 +15,6 @@ from decoygraph.game import (
     defender_actions,
     load_params,
     params_to_document,
-    payoff_matrix,
 )
 from decoygraph.graph import (
     EnumerationLimitError,
@@ -96,6 +95,12 @@ def test_action_budget_and_limit_checks(line3):
         defender_actions(graph, GameParams(budget=5))
     with pytest.raises(EnumerationLimitError):
         defender_actions(graph, GameParams(budget=1), limit=2)
+
+
+def payoff_matrix(graph, params, actions, paths, pinned=()):
+    """Defender reward of every allocation in ``actions`` plus the ``pinned``
+    locations against every path, from one path table."""
+    return PathColumns(graph, paths).payoff(params, *allocation_rows(graph, actions, pinned))
 
 
 def cell(graph, params, action, path, pinned=()):

@@ -8,6 +8,7 @@ from decoygraph.graph import (
     EnumerationLimitError,
     GraphError,
     NodeRecord,
+    _reachable,
     augment,
     augmented_paths,
     enumerate_attack_paths,
@@ -16,7 +17,7 @@ from decoygraph.graph import (
     graph_to_document,
     load_graph,
 )
-from oracles import brute_force_paths
+from oracles import breadth_first_paths, brute_force_paths, reachable_closure
 
 LINE3_DOC = {
     "nodes": [
@@ -271,6 +272,29 @@ def test_augmented_paths_equal_full_enumeration(g, limit):
     for edge in non_edges:
         limited = _paths_or_limit(lambda: enumerate_attack_paths(augment(g, edge), limit=limit))
         assert _paths_or_limit(lambda: augmented_paths(g, base, [edge], limit=limit)[0]) == limited
+
+
+@given(role_digraphs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_walks_match_breadth_first_oracle(g, data):
+    max_hops = data.draw(st.none() | st.integers(min_value=1, max_value=4))
+    entries = data.draw(st.none() | st.lists(st.sampled_from(g.entry_ids), unique=True))
+    limit = data.draw(st.integers(min_value=0, max_value=40))
+    starts = g.entry_ids if entries is None else sorted(entries)
+    expected = breadth_first_paths(g.edges, starts, set(g.target_ids), max_hops)
+    try:
+        got = enumerate_attack_paths(g, max_hops, entries=entries, limit=limit)
+    except EnumerationLimitError as exc:
+        assert len(expected) > limit
+        assert str(exc) == f"path count exceeds limit {limit}"
+    else:
+        assert len(expected) <= limit
+        assert [(p.nodes, p.edges) for p in got] == expected
+    sources = data.draw(st.lists(st.sampled_from(sorted(g.node_ids)), unique=True))
+    reversed_edges = [(v, u) for u, v in g.edges]
+    for neighbours, pairs in ((g.successors, g.edges), (g.predecessors, reversed_edges)):
+        for start in (sources, g.entry_ids, g.target_ids):
+            assert _reachable(neighbours, start) == reachable_closure(pairs, start)
 
 
 def test_augmented_paths_through_cycles_and_inner_roles():

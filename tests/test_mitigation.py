@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import decoygraph.cli
 import oracles
 from decoygraph import mitigation, zeroday
-from decoygraph.game import GameParams, build_matrix, defender_actions, payoff_matrix, pure_strategy
+from decoygraph.game import GameParams, PathColumns, allocation_rows, build_matrix, defender_actions, pure_strategy
 from decoygraph.graph import NodeRecord, augment, enumerate_attack_paths, generate_zero_day_candidates, graph_from_parts
 from decoygraph.lp import FEASIBILITY_TOL as TOL, solve_zero_sum
 from decoygraph.mitigation import (
@@ -276,8 +276,16 @@ class TestCriticalPoint:
     def test_kappa_validation(self, line3):
         graph, params, game, sol = line3
         rows = scan_candidates(graph, params, solution=sol)
-        with pytest.raises(ValueError, match="kappa"):
-            critical_point_mitigation(game, params, rows, kappa=0.5)
+        for kappa in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="kappa must be a finite number >= 1"):
+                critical_point_mitigation(game, params, rows, kappa=kappa)
+
+    def test_negative_top_n_rejected(self, tree7):
+        graph, params, game, sol = tree7
+        rows = scan_candidates(graph, params, solution=sol)
+        with pytest.raises(ValueError, match="top_n must be nonnegative"):
+            critical_point_mitigation(game, params, rows, top_n=-3)
+        assert critical_point_mitigation(game, params, rows, top_n=0).boosted_values == {}
 
     def test_add_honeypot_variant(self, line3):
         graph, params, game, sol = line3
@@ -507,8 +515,8 @@ def test_mitigation_and_nature_match_literal_oracles(case):
     games = []
     for edge in edges:
         graph2 = augment(graph, edge)
-        games.append(payoff_matrix(graph2, params, defender_actions(graph2, params),
-                                   enumerate_attack_paths(graph2), pins))
+        columns = PathColumns(graph2, enumerate_attack_paths(graph2))
+        games.append(columns.payoff(params, *allocation_rows(graph2, defender_actions(graph2, params), pins)))
     expected = _outcome(lambda: [solve_zero_sum(matrix).attacker_strategy for matrix in games])
     solved = []
     with patch.object(mitigation, "solve_zero_sum", recording(solved)), \
