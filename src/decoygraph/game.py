@@ -10,11 +10,11 @@ zero-sum: the attacker's reward is the exact negation.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -120,48 +120,45 @@ def build_matrix(
 
 
 class PathColumns:
-    """Per-path data of the reward kernel, built in one pass.
+    """Per-path data of the reward kernel, built in whole-array steps.
 
     ``incidence[e, j]`` is 1.0 where path j takes edge e, ``weights[e, j]``
     is then the value of the node that edge enters, and ``totals[j]`` sums
-    path j's non-entry node values in path order. Scoring several allocation
-    sets against one path set reuses these columns.
+    path j's non-entry node values in path order, from 0.0, as a per-node
+    loop would. ``_steps`` holds each path's edge ids in path order, padded
+    with the id E that no edge has, and the values of the nodes they enter,
+    padded with 0.0; the other arrays are scattered from it. Scoring several
+    allocation sets against one path set reuses these columns.
     """
 
     def __init__(self, graph: AttackGraph, paths):
         self.graph = graph
         self.paths = paths
+        hops = np.array([path.hops for path in paths], dtype=np.intp)
+        width = int(hops.max(initial=1))
+        walked = np.arange(width) < hops[:, None]
+        positions = np.full((len(paths), width), len(graph.edges), dtype=np.intp)
+        positions[walked] = list(chain.from_iterable(path.edges for path in paths))
+        values = np.zeros((len(paths), width))
+        node_values = graph.values
+        values[walked] = [node_values[node] for path in paths for node in path.nodes[1:]]
+        self._steps = positions, values
         self.incidence = np.zeros((len(graph.edges), len(paths)))
         self.weights = np.zeros((len(graph.edges), len(paths)))
-        self.totals = np.zeros(len(paths))
-        for j, path in enumerate(paths):
-            total_value = 0.0
-            for eid, node in zip(path.edges, path.nodes[1:]):
-                v = graph.value(node)
-                self.incidence[eid, j] = 1.0
-                self.weights[eid, j] = v
-                total_value += v
-            self.totals[j] = total_value
+        column = np.repeat(np.arange(len(paths)), hops)
+        self.incidence[positions[walked], column] = 1.0
+        self.weights[positions[walked], column] = values[walked]
+        # cumsum adds left to right; np.sum would add long rows pairwise
+        self.totals = np.cumsum(np.hstack([np.zeros((len(paths), 1)), values]), axis=1)[:, -1]
 
     def take(self, index) -> "PathColumns":
         """The columns of the paths at positions ``index``, in that order."""
-        out = PathColumns(self.graph, ())
+        out = copy.copy(self)
         out.paths = [self.paths[j] for j in index]
         for name in ("incidence", "weights", "totals"):
             setattr(out, name, np.take(getattr(self, name), index, axis=-1))
+        out._steps = tuple(np.take(steps, index, axis=0) for steps in self._steps)
         return out
-
-    @cached_property
-    def _steps(self):
-        """Each path's edge ids in path order, padded with the id E that no
-        edge has, and the values of the nodes they enter, padded with 0."""
-        width = max((path.hops for path in self.paths), default=1)
-        positions = np.full((len(self.paths), width), len(self.graph.edges))
-        values = np.zeros((len(self.paths), width))
-        for j, path in enumerate(self.paths):
-            positions[j, : path.hops] = path.edges
-            values[j, : path.hops] = [self.graph.value(node) for node in path.nodes[1:]]
-        return positions, values
 
     def payoff(self, params: GameParams, rows, deployed) -> np.ndarray:
         """Defender reward of every allocation, given as the ``rows`` and

@@ -8,6 +8,7 @@ simple directed path from an entry node to a target node.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -260,17 +261,37 @@ def augmented_paths(
     limit: int = DEFAULT_PATH_LIMIT,
 ) -> list[tuple[AttackPath, ...]]:
     """``enumerate_attack_paths(augment(graph, edge), limit=limit)`` for each
-    edge in ``edges``, built from ``base_paths``, which must be
-    ``enumerate_attack_paths(graph)``; any other path set, such as that of
-    a game built with ``entries=``, raises :class:`GraphError`.
+    edge in ``edges``: the paths :func:`added_paths` finds for that edge,
+    merged into ``base_paths`` in the canonical order. ``base_paths`` must
+    be ``enumerate_attack_paths(graph)``; any other path set, such as that
+    of a game built with ``entries=``, raises :class:`GraphError`.
+    """
+    return [
+        tuple(heapq.merge(base_paths, new, key=lambda path: _canonical_order(path.nodes)))
+        for new in added_paths(graph, base_paths, edges, limit=limit)
+    ]
+
+
+def added_paths(
+    graph: AttackGraph,
+    base_paths,
+    edges,
+    *,
+    limit: int = DEFAULT_PATH_LIMIT,
+) -> list[tuple[AttackPath, ...]]:
+    """For each edge (u, v) in ``edges``, the attack paths that
+    ``augment(graph, (u, v))`` has and ``graph`` lacks, in the canonical
+    order. ``base_paths`` must be ``enumerate_attack_paths(graph)``; any
+    other path set, such as that of a game built with ``entries=``, raises
+    :class:`GraphError`.
 
     A path of an augmented graph either avoids the new edge (u, v), and is
     then a base path, or takes it once: a simple entry-to-u prefix, then
     (u, v), then a simple v-to-target suffix that shares no node with the
     prefix. Only those new paths are enumerated, from prefix and suffix
-    tables that the edges of one call share, and merged into the base paths
-    in the canonical order. Raises :class:`EnumerationLimitError` exactly
-    when full enumeration of one of the augmented graphs would.
+    tables that the edges of one call share. Raises
+    :class:`EnumerationLimitError` exactly when full enumeration of one of
+    the augmented graphs would.
     """
     if tuple(base_paths) != enumerate_attack_paths(graph):
         raise GraphError("base paths must be every attack path of the graph; a game built with entries= has fewer")
@@ -297,10 +318,8 @@ def augmented_paths(
                     if len(base_paths) + len(new) >= limit:
                         raise EnumerationLimitError(f"path count exceeds limit {limit}")
                     new.append(AttackPath(nodes=pre_nodes + suf_nodes, edges=pre_edges + (new_id,) + suf_edges))
-        if new:
-            out.append(tuple(sorted((*base_paths, *new), key=lambda p: _canonical_order(p.nodes))))
-        else:
-            out.append(tuple(base_paths))
+        new.sort(key=lambda p: _canonical_order(p.nodes))
+        out.append(tuple(new))
     return out
 
 
@@ -310,7 +329,7 @@ def _simple_walks(neighbours, start: int, ends: set[int], found=None, *, max_hop
     sequence, edge sequence) in walk order, appended to ``found`` (a new
     list by default), which is returned. The one depth-first search of the
     package: attack paths are its forward walks from entries to targets,
-    and :func:`augmented_paths` joins its backward and forward walks.
+    and :func:`added_paths` joins its backward and forward walks.
 
     ``max_hops`` bounds a walk's edge count. With ``limit``, a walk that
     would make ``found`` longer than ``limit`` raises

@@ -177,18 +177,31 @@ def _support(actions, policy):
 def _path_scores(shared: _Augmentation, support, pins):
     """Attacker reward and capture probability of every path of every
     candidate's augmented graph against a mixed defender (its support) with
-    the frozenset ``pins``: the base paths' (2, paths) array, and one per
-    candidate, its paths in canonical order.
+    the frozenset ``pins``: the base paths' (2, paths) array, and a
+    (2, candidates, longest) array whose row k holds candidate k's paths in
+    canonical order, laid out as ``shared.index``. Pad slots hold reward
+    -inf and capture 0.0, so the first maximum of a row is a real path.
 
     The path table is scored once per "own edge pinned" flag that some
-    candidate has, on that flag's stand-in graph; each candidate takes its
-    columns from its flag's scores.
+    candidate has, on that flag's stand-in graph; the candidates with that
+    flag gather their rows from its scores in one step.
     """
-    flags = [edge in pins for edge in shared.edges]
+    flags = np.array([edge in pins for edge in shared.edges])
     tables = {flag: _mixed_columns(shared.stand_in(flag, pins), shared.columns, shared.params, support, pins)
-              for flag in dict.fromkeys(flags)}
-    base = tables[flags[0]][:, : len(shared.base_paths)]
-    return base, [np.take(tables[flag], index, axis=1) for flag, index in zip(flags, shared.index)]
+              for flag in dict.fromkeys(flags.tolist())}
+    scores = np.empty((2, *shared.index.shape))
+    for flag, table in tables.items():
+        rows = flags == flag
+        scores[:, rows] = np.hstack([table, [[-np.inf], [0.0]]])[:, shared.index[rows]]
+    return tables[flags[0]][:, : len(shared.base_paths)], scores
+
+
+def _best_responses(scores):
+    """Reward and capture, as lists, of each candidate's first best path in
+    the (2, candidates, longest) ``scores`` of :func:`_path_scores`."""
+    best = scores[0].argmax(axis=-1)
+    candidates = np.arange(len(best))
+    return scores[0, candidates, best].tolist(), scores[1, candidates, best].tolist()
 
 
 def _mixed_columns(graph, columns, params, support, pinned):
@@ -237,8 +250,7 @@ def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimisti
     # graph, scores every candidate's paths as that candidate's own pin does
     pins = frozenset(shared.edges[:1])
     scores = _mixed_columns(shared.stand_in(True, pins), shared.columns, game1.params, support, pins)
-    for i, index in enumerate(shared.index):
-        matrix[i, i] = -float(np.max(scores[0, index]))
+    np.fill_diagonal(matrix, -np.append(scores[0], -np.inf)[shared.index].max(axis=1))
     solution = solve_zero_sum(matrix)
     return NatureGame(locations=tuple(r.edge for r in rows), matrix=matrix, solution=solution)
 
@@ -308,8 +320,9 @@ def evaluate_mitigation(
     The base policy (no pins) and the mitigated defender (modified or base
     policy plus pins) are each scored once on the path table of
     :class:`~decoygraph.zeroday._Augmentation`: the original paths, then the
-    paths each candidate's edge adds. Each candidate reads its paths from
-    that table through its index, in canonical order. The attacker's
+    paths each candidate's edge adds. Every candidate's paths are read from
+    those scores in one gather through the padded index table, in canonical
+    order, so a tied best response is the first tied path. The attacker's
     criterion (``"pessimistic"``/``"pes"`` or ``"optimistic"``/``"opt"``)
     strategy is recomputed against the mitigated defender: a best response
     (pessimistic) or the equilibrium attacker strategy of the pinned
@@ -334,28 +347,27 @@ def evaluate_mitigation(
     base_after, scores_after = _path_scores(shared, after, pins)
     baseline = float(np.max(base_after[0]))
     _, scores_before = _path_scores(shared, before, frozenset())
-    outcomes = []
-    for k, (b, a) in enumerate(zip(scores_before, scores_after)):
-        b_idx = int(np.argmax(b[0]))
-        if criterion == "optimistic":
+    reward_before, capture_before = _best_responses(scores_before)
+    if criterion == "optimistic":
+        reward_after, capture_after = [], []
+        for k, length in enumerate(shared.lengths):
             y2 = shared.game(k, pins).attacker_equilibrium
-            reward_after = float(a[0] @ y2)
-            capture_after = float(a[1] @ y2)
-        else:
-            a_idx = int(np.argmax(a[0]))
-            reward_after = float(a[0, a_idx])
-            capture_after = float(a[1, a_idx])
-
-        outcomes.append(
-            CandidateOutcome(
-                edge=rows[k].edge,
-                reward_before=float(b[0, b_idx]),
-                reward_after=reward_after,
-                capture_before=float(b[1, b_idx]),
-                capture_after=capture_after,
-                prevented=bool(reward_after <= baseline + PREVENTION_TOL),
-            )
+            # contiguous row prefixes: a strided dot product rounds differently
+            reward_after.append(float(scores_after[0, k, :length] @ y2))
+            capture_after.append(float(scores_after[1, k, :length] @ y2))
+    else:
+        reward_after, capture_after = _best_responses(scores_after)
+    outcomes = [
+        CandidateOutcome(
+            edge=rec.edge,
+            reward_before=rb,
+            reward_after=ra,
+            capture_before=cb,
+            capture_after=ca,
+            prevented=ra <= baseline + PREVENTION_TOL,
         )
+        for rec, rb, ra, cb, ca in zip(rows, reward_before, reward_after, capture_before, capture_after)
+    ]
     return MitigationMetrics(
         outcomes=outcomes,
         effectiveness=sum(o.prevented for o in outcomes) / len(outcomes),

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import io
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .game import (
     defender_actions,
     pure_strategy,
 )
-from .graph import AttackGraph, augment, augmented_paths, generate_zero_day_candidates
+from .graph import AttackGraph, _canonical_order, added_paths, augment, generate_zero_day_candidates
 from .lp import solve_zero_sum
 
 CRITERIA = ("pessimistic", "optimistic")
@@ -105,32 +107,44 @@ class _Augmentation:
     Every augmented graph has the base graph's E edges plus the candidate,
     which gets id E. So the defender's E+1-edge allocations are the same for
     every candidate, and all candidates' paths share one table: ``paths``
-    holds the base paths, then each candidate's new paths, and ``index[k]``
-    lists the positions of candidate k's paths, in canonical order, in that
-    table. The table's columns are built once. The allocation rows under a
-    set of pins differ between candidates only in whether the candidate's
-    own edge is pinned: edge E is covered exactly then, and every other pin
-    is a base edge or an off-graph location that only costs
-    ``honeypot_cost``. So one candidate's graph per "own edge pinned" flag
-    stands in for all candidates with that flag. A candidate that adds no
-    path has exactly the base paths, so all such candidates with the same
-    flag share one augmented game.
+    holds the base paths, then each candidate's new paths. Row k of the
+    padded (candidates, longest) array ``index`` lists the positions of
+    candidate k's paths, in canonical order, in that table; its first
+    ``lengths[k]`` entries are real and the rest hold the pad
+    ``len(paths)``. ``new_masks`` has the same shape and is true where a
+    real entry is one of the candidate's new paths. A new path's place in
+    its row is its insertion rank among the base paths plus the number of
+    new paths before it: canonical keys are unique, so this is the place a
+    stable sort of all its paths gives it. The table's columns are built
+    once. The allocation rows under a set of pins differ between candidates
+    only in whether the candidate's own edge is pinned: edge E is covered
+    exactly then, and every other pin is a base edge or an off-graph
+    location that only costs ``honeypot_cost``. So one candidate's graph
+    per "own edge pinned" flag stands in for all candidates with that flag.
+    A candidate that adds no path has exactly the base paths, so all such
+    candidates with the same flag share one augmented game.
     """
 
     def __init__(self, game1: GameInstance, edges):
         self.graph, self.params, self.base_paths = game1.graph, game1.params, game1.paths
         self.edges = [tuple(edge) for edge in edges]
-        new_id = len(self.graph.edges)
-        self.paths = list(self.base_paths)
-        self.new_masks, self.index = [], []
-        for paths in augmented_paths(self.graph, self.base_paths, self.edges):
-            mask = np.array([new_id in path.edges for path in paths], dtype=bool)
-            positions = np.empty(mask.size, dtype=np.intp)
-            positions[~mask] = np.arange(len(self.base_paths))
-            positions[mask] = np.arange(len(self.paths), len(self.paths) + mask.sum())
-            self.paths.extend(path for path, new in zip(paths, mask) if new)
-            self.new_masks.append(mask)
-            self.index.append(positions)
+        added = added_paths(self.graph, self.base_paths, self.edges)
+        self.paths = [*self.base_paths, *chain.from_iterable(added)]
+        n_base, n_candidates = len(self.base_paths), len(added)
+        base_keys = [_canonical_order(path.nodes) for path in self.base_paths]
+        slots = np.array(
+            [bisect_left(base_keys, _canonical_order(path.nodes)) + i for new in added for i, path in enumerate(new)],
+            dtype=np.intp,
+        )
+        counts = np.array([len(new) for new in added], dtype=np.intp)
+        self.lengths = n_base + counts
+        width = int(self.lengths.max(initial=n_base))
+        self.new_masks = np.zeros((n_candidates, width), dtype=bool)
+        self.new_masks[np.repeat(np.arange(n_candidates), counts), slots] = True
+        self.index = np.full((n_candidates, width), len(self.paths), dtype=np.intp)
+        self.index[self.new_masks] = np.arange(n_base, len(self.paths))
+        base_slots = (np.arange(width) < self.lengths[:, None]) & ~self.new_masks
+        self.index[base_slots] = np.tile(np.arange(n_base), n_candidates)
         self._stand_ins = {}
         self._rows = {}
         self._no_path_games = {}
@@ -159,12 +173,13 @@ class _Augmentation:
         locations in the frozenset ``pins``. Only the games that candidates
         share are kept."""
         key = (self.edges[k] in pins, pins)
-        adds_path = self.new_masks[k].any()
+        adds_path = self.lengths[k] > len(self.base_paths)
         if not adds_path and key in self._no_path_games:
             return self._no_path_games[key]
         if key not in self._rows:
             self._rows[key] = allocation_rows(self.stand_in(*key), self.actions, pins)
-        game2 = _AugmentedGame(self.columns.take(self.index[k]).payoff(self.params, *self._rows[key]))
+        columns = self.columns.take(self.index[k, : self.lengths[k]])
+        game2 = _AugmentedGame(columns.payoff(self.params, *self._rows[key]))
         if not adds_path:
             self._no_path_games[key] = game2
         return game2
@@ -194,8 +209,8 @@ def _records(game1, x1, y1, work, *, criterion, pessimistic_mode) -> list[ZeroDa
     naive_mixed = float(-(x_arr @ game1.matrix @ np.asarray(y1))) if y1 is not None else None
     records = []
     for k, (edge, status, compute_optimistic) in enumerate(work):
-        new_mask = shared.new_masks[k]
-        new_path_count = int(new_mask.sum())
+        new_mask = shared.new_masks[k, : shared.lengths[k]]
+        new_path_count = int(shared.lengths[k]) - len(game1.paths)
         game2 = shared.game(k)
         column_rewards = -(xhat @ game2.matrix)
 

@@ -100,6 +100,29 @@ def literal_reward(values, edge_pairs, params, action_edge_ids, path_nodes, pinn
     return total
 
 
+def path_columns(graph, paths):
+    """``incidence``, ``weights``, ``totals`` and the padded ``_steps``
+    arrays of ``PathColumns(graph, paths)``, stored one path edge at a time,
+    with each total summed left to right from 0.0 in a Python loop."""
+    incidence = np.zeros((len(graph.edges), len(paths)))
+    weights = np.zeros((len(graph.edges), len(paths)))
+    totals = np.zeros(len(paths))
+    width = max((path.hops for path in paths), default=1)
+    positions = np.full((len(paths), width), len(graph.edges))
+    values = np.zeros((len(paths), width))
+    for j, path in enumerate(paths):
+        total_value = 0.0
+        for k, (eid, node) in enumerate(zip(path.edges, path.nodes[1:])):
+            v = graph.value(node)
+            incidence[eid, j] = 1.0
+            weights[eid, j] = v
+            positions[j, k] = eid
+            values[j, k] = v
+            total_value += v
+        totals[j] = total_value
+    return incidence, weights, totals, positions, values
+
+
 def pad_strategy(x1, game1, game2) -> np.ndarray:
     """Lift a game-1 defender strategy into game 2's action ordering.
 

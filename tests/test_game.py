@@ -25,7 +25,8 @@ from decoygraph.graph import (
     graph_from_parts,
 )
 from decoygraph import fixtures
-from oracles import literal_reward, pad_strategy
+from oracles import literal_reward, pad_strategy, path_columns
+from test_graph import role_digraphs
 
 
 def test_params_round_trip():
@@ -257,6 +258,32 @@ def test_pinned_kernel_exact_on_fixtures(line3, tree7, net20):
                               literal_matrix(graph2, params, game.actions, paths2, pins))
         assert np.array_equal(payoff_matrix(graph, params, game.actions, game.paths, pins),
                               literal_matrix(graph, params, game.actions, game.paths, pins))
+
+
+@given(role_digraphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_path_columns_match_per_path_loop(g, data):
+    # node values in hundredths, most of them inexact in binary: the totals
+    # depend on the order they are summed in
+    value = st.integers(min_value=0, max_value=2000).map(lambda c: c / 100)
+    graph = graph_from_parts([NodeRecord(n.id, data.draw(value), n.role) for n in g.nodes], g.edges)
+    paths = enumerate_attack_paths(graph)
+    columns = PathColumns(graph, paths)
+    got = (columns.incidence, columns.weights, columns.totals, *columns._steps)
+    for array, expected in zip(got, path_columns(graph, paths)):
+        assert array.dtype == expected.dtype and array.shape == expected.shape
+        assert array.tobytes() == expected.tobytes()
+    index = data.draw(st.lists(st.integers(min_value=0, max_value=len(paths) - 1), max_size=2 * len(paths)))
+    taken, fresh = columns.take(index), PathColumns(graph, [paths[j] for j in index])
+    assert taken.paths == fresh.paths
+    for name in ("incidence", "weights", "totals"):
+        assert getattr(taken, name).tobytes() == getattr(fresh, name).tobytes()
+    # taken rows keep the table's padding, wider than the fresh table's
+    # when the longest path is not taken
+    width = fresh._steps[0].shape[1]
+    for steps, fresh_steps, pad in zip(taken._steps, fresh._steps, (len(graph.edges), 0.0)):
+        assert steps[:, :width].tobytes() == fresh_steps.tobytes()
+        assert (steps[:, width:] == pad).all()
 
 
 def test_augment_grows_columns(line3):

@@ -544,10 +544,10 @@ def test_mitigation_and_nature_match_literal_oracles(case):
 
 @pytest.mark.parametrize("criterion", ["pessimistic", "optimistic"])
 def test_paths_enumerated_once_per_candidate(tree7, monkeypatch, criterion):
-    # each candidate's paths come from one incremental call for the whole
-    # report, never from a full enumeration of an augmented graph; the only
-    # full enumeration is the one check per call that the base paths are
-    # complete
+    # each candidate's new paths come from one incremental call for the
+    # whole report, never from a full enumeration of an augmented graph; the
+    # only full enumeration is the one check per call that the base paths
+    # are complete
     graph, params, game, sol = tree7
     rows = scan_candidates(graph, params, solution=sol)
     plan = alpha_mitigation(rows, k=1)
@@ -563,13 +563,32 @@ def test_paths_enumerated_once_per_candidate(tree7, monkeypatch, criterion):
     for module in (decoygraph.graph, decoygraph.game, decoygraph.zeroday, decoygraph.mitigation, decoygraph.cli):
         if hasattr(module, "enumerate_attack_paths"):
             monkeypatch.setattr(module, "enumerate_attack_paths", counted(full, module.enumerate_attack_paths))
-    monkeypatch.setattr(zeroday, "augmented_paths", counted(incremental, zeroday.augmented_paths))
+    monkeypatch.setattr(zeroday, "added_paths", counted(incremental, zeroday.added_paths))
     first = evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion=criterion)
     assert full == [(game.graph,)]
     assert [[tuple(e) for e in args[2]] for args in incremental] == [[r.edge for r in rows]]
     again = evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion=criterion)
     assert full == [(game.graph,)] * 2
     assert again.outcomes == first.outcomes
+
+
+def test_tied_best_paths_keep_the_first_in_canonical_order():
+    # against a honeypot on 1 -> 3, candidate (0, 1)'s new path 0 -> 1 -> 3
+    # (captured) and the base path 0 -> 2 -> 3 (not captured) both give the
+    # attacker exactly 9.0; the new path comes first in canonical order, so
+    # it is the best response whose capture is reported. A pin off both
+    # paths adds its cost, 1.0, to both rewards and keeps the tie
+    nodes = [NodeRecord(0, 0.0, "entry"), NodeRecord(1, 4.0, "intermediate"),
+             NodeRecord(2, 1.0, "intermediate"), NodeRecord(3, 1.0, "target")]
+    graph = graph_from_parts(nodes, [(0, 2), (2, 3), (1, 3)])
+    game = build_matrix(graph, GameParams(cap=10.0, esc=5.0, honeypot_cost=1.0, attack_cost_per_hop=1.0))
+    x = pure_strategy(len(game.actions), game.actions.index((2,)))
+    report = [make_record((0, 1), 0.0)]
+    for plan in (none_mitigation(), MitigationPlan(kind="lp", pinned_edges=((1, 2),))):
+        (outcome,) = evaluate_mitigation(plan, game, x, report).outcomes
+        assert outcome.reward_before == 9.0 and outcome.capture_before == 1.0
+        assert outcome.capture_after == 1.0
+    assert outcome.reward_after == 10.0
 
 
 def test_one_lp_per_distinct_pinned_game(net20, monkeypatch):

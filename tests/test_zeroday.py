@@ -312,7 +312,10 @@ def test_scan_fast_path_matches_full_rebuild(case):
     shared = zeroday._Augmentation(game1, [c.edge for c in work])
     games2 = [build_matrix(augment(graph, c.edge), params) for c in work]
     for k, game2 in enumerate(games2):
-        assert [shared.paths[j] for j in shared.index[k]] == list(enumerate_attack_paths(augment(graph, work[k].edge)))
+        index = shared.index[k, : shared.lengths[k]]
+        assert [shared.paths[j] for j in index] == list(enumerate_attack_paths(augment(graph, work[k].edge)))
+        assert [len(graph.edges) in shared.paths[j].edges for j in index] == shared.new_masks[k].tolist()[: len(index)]
+        assert not shared.new_masks[k, len(index):].any() and (shared.index[k, len(index):] == len(shared.paths)).all()
         matrix = shared.game(k).matrix
         assert np.array_equal(matrix, game2.matrix)
         if params.terminate_on_capture:
