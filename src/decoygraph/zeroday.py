@@ -7,6 +7,10 @@ game's equilibrium attacker strategy) and pessimistic (the attacker is sure
 the defender is blind and plays a best response to the fixed base policy over
 the enlarged path set). Impact is the chosen criterion's reward minus the
 attacker reward of the original game.
+
+Under the pessimistic criterion with best-response attackers no augmented
+game's equilibrium enters the impact, so a candidate's optimistic value is
+solved on its first read and then kept on the record.
 """
 
 from __future__ import annotations
@@ -40,14 +44,37 @@ STRATEGY_SUM_TOL = 1e-9
 CSV_COLUMNS = ("edge_u", "edge_v", "naive", "optimistic", "pessimistic", "impact", "y_e", "dominance")
 
 
+class _ResolvedOnRead:
+    """A record field whose stored value may be a :class:`_DeferredOptimistic`;
+    reading it returns the float and keeps that in place of the deferral."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            raise AttributeError(self.name)  # the field has no default
+        value = record.__dict__[self.name]
+        if isinstance(value, _DeferredOptimistic):
+            value = record.__dict__[self.name] = value.value
+        return value
+
+    def __set__(self, record, value):
+        record.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class ZeroDayRecord:
-    """One scanned candidate edge with its reward columns and impact."""
+    """One scanned candidate edge with its reward columns and impact.
+
+    A pessimistic best-response scan leaves ``optimistic`` unsolved until it
+    is first read; a solver error then raises on every read of it.
+    """
 
     edge: tuple[int, int]
     status: str
     naive: float
-    optimistic: float
+    optimistic: float = _ResolvedOnRead()
     pessimistic: float
     impact: float
     new_path_count: int
@@ -197,9 +224,26 @@ class _AugmentedGame:
         return solve_zero_sum(self.matrix).attacker_strategy
 
 
+class _DeferredOptimistic:
+    """Candidate k's optimistic value, solved when first asked for: the
+    scan's own operations on its game, so the float is the same bits."""
+
+    def __init__(self, shared: _Augmentation, k: int, xhat):
+        self.shared, self.k, self.xhat = shared, k, xhat
+
+    @cached_property
+    def value(self) -> float:
+        game2 = self.shared.game(self.k)
+        return float(-(self.xhat @ game2.matrix) @ game2.attacker_equilibrium)
+
+    def __reduce__(self):
+        return float, (self.value,)
+
+
 def _records(game1, x1, y1, work, *, criterion, pessimistic_mode) -> list[ZeroDayRecord]:
     """The scan record of each (edge, status, compute_optimistic) in
-    ``work`` against the base policy ``x1``."""
+    ``work`` against the base policy ``x1``. Where the optimistic value
+    enters nothing else in the record, its solve waits for its first read."""
     x_arr = _check_strategy(x1, game1.actions)
     shared = _Augmentation(game1, [edge for edge, _, _ in work])
     index = {action: i for i, action in enumerate(shared.actions)}
@@ -218,7 +262,10 @@ def _records(game1, x1, y1, work, *, criterion, pessimistic_mode) -> list[ZeroDa
         br_value = float(column_rewards[br_index])
         br_strategy = pure_strategy(new_mask.size, br_index)
 
-        if compute_optimistic or pessimistic_mode == "game2_ne":
+        if compute_optimistic and criterion == "pessimistic" and pessimistic_mode == "best_response":
+            # no equilibrium strategy enters the rest of this record
+            optimistic = _DeferredOptimistic(shared, k, xhat)
+        elif compute_optimistic or pessimistic_mode == "game2_ne":
             y2 = game2.attacker_equilibrium
             optimistic = float(column_rewards @ y2)
         else:
@@ -277,8 +324,10 @@ def evaluate_candidate(
     ``compute_optimistic`` is false the equilibrium solve of the augmented
     game is skipped and the optimistic column reports the direct
     best-response value (used for rule-dominant entry-to-target edges).
-    ``game1`` must hold every attack path of its graph; a game built with
-    ``entries=`` raises ``ValueError``.
+    When it is true, a pessimistic best-response record solves that game
+    on the first read of ``optimistic``, and every other record while it
+    is scored. ``game1`` must hold every attack path of its graph; a game
+    built with ``entries=`` raises ``ValueError``.
     """
     criterion = _check_options(criterion, pessimistic_mode)
     (record,) = _records(
@@ -303,7 +352,10 @@ def scan_candidates(
     """Evaluate every analyzed or rule-dominant candidate edge, ranked.
 
     Each candidate gets the record :func:`evaluate_candidate` gives it; the
-    work all candidates share is done once per call.
+    work all candidates share is done once per call. Under the pessimistic
+    criterion with best-response attackers, an analyzed candidate's
+    augmented game is solved only when its ``optimistic`` value is first
+    read, so a solver failure there raises at that read, not here.
     """
     criterion = _check_options(criterion, pessimistic_mode)
     game1 = build_matrix(graph, params)

@@ -7,6 +7,7 @@ import pytest
 
 from decoygraph import fixtures
 from decoygraph.cli import _emit_json, main, validate_plan_document, validate_report_document
+from test_zeroday import fail_on_game
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +240,34 @@ def test_output_file(fixture_dir, capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("edge_u,")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("zeroday-scan",), 2),
+    (("zeroday-scan", "--format", "json"), 2),
+    (("mitigate", "--strategy", "alpha", "--criterion", "opt"), 2),
+    # a pessimistic scan solves a candidate's augmented game only when its
+    # optimistic value is read: the top 10 rows and the pessimistic plans
+    # never read candidate (0, 1)'s
+    (("zeroday-scan", "--top", "10"), 0),
+    (("mitigate", "--strategy", "alpha", "--criterion", "pes"), 0),
+    (("mitigate", "--strategy", "nature", "--criterion", "pes"), 0),
+])
+def test_failed_augmented_solve_fails_only_where_read(fixture_dir, capsys, tmp_path, monkeypatch, net20, argv, code):
+    graph, params, _, _ = net20
+    target = tmp_path / "out"
+    argv = (*argv, "-g", str(fixture_dir / "net20.json"), "-p", str(fixture_dir / "net20_params.json"),
+            "-o", str(target))
+    assert run(capsys, *argv) == (0, "", "")
+    expected = target.read_bytes()
+    target.unlink()
+    error = fail_on_game(monkeypatch, graph, params, (0, 1))
+    if code:
+        assert run(capsys, *argv) == (2, "", f"numerical failure: {error}\n")
+        assert not target.exists()
+    else:
+        assert run(capsys, *argv) == (0, "", "")
+        assert target.read_bytes() == expected
 
 
 def test_invalid_graph_document_exits_one(tmp_path, capsys, fixture_dir):

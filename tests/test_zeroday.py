@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -200,21 +203,126 @@ def test_scan_records_match_golden_digest(request, name):
     assert scan_digests(name, graph, params) == {k: v for k, v in SCAN_DIGESTS.items() if k.split()[0] == name}
 
 
-def test_one_shared_lp_for_candidates_that_add_no_path(net20, monkeypatch):
-    graph, params, _, _ = net20
+def counted_solves(monkeypatch):
+    """The matrices ``zeroday.solve_zero_sum`` is asked to solve, from now on."""
     calls = []
 
     def counted(matrix, **kwargs):
-        calls.append(matrix.shape)
+        calls.append(matrix)
         return solve_zero_sum(matrix, **kwargs)
 
     monkeypatch.setattr(zeroday, "solve_zero_sum", counted)
+    return calls
+
+
+def test_one_shared_lp_for_candidates_that_add_no_path(net20, monkeypatch):
+    graph, params, _, _ = net20
+    calls = counted_solves(monkeypatch)
     rows = scan_candidates(graph, params)
+    for r in rows:
+        r.optimistic
     with_paths = sum(r.status == "analyzed" and r.new_path_count > 0 for r in rows)
     assert any(r.new_path_count == 0 for r in rows)
     # the base game, one per analyzed candidate that adds a path, and one
     # for all the candidates that add none
     assert len(calls) == 1 + with_paths + 1 == 227
+
+
+def test_pessimistic_scan_solves_an_augmented_game_when_read(net20, monkeypatch):
+    graph, params, _, sol = net20
+    calls = counted_solves(monkeypatch)
+    rows = scan_candidates(graph, params, solution=sol)
+    assert calls == []
+    for _ in range(2):
+        for r in rows:
+            r.optimistic
+    assert len(calls) == 225 + 1
+    # each distinct game once: no two solved matrices are equal
+    assert len({(m.shape, m.tobytes()) for m in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("criterion, mode", [("optimistic", "best_response"), ("optimistic", "game2_ne"),
+                                             ("pessimistic", "game2_ne")])
+def test_other_scans_solve_every_game_while_scanning(net20, monkeypatch, criterion, mode):
+    # every analyzed or dominant candidate's game, the no-path game shared
+    graph, params, _, sol = net20
+    calls = counted_solves(monkeypatch)
+    rows = scan_candidates(graph, params, criterion=criterion, pessimistic_mode=mode, solution=sol)
+    assert len(calls) == 225 + 9 + 1
+    for r in rows:
+        r.optimistic
+    assert len(calls) == 225 + 9 + 1
+
+
+def fresh_deferred(graph, params, sol):
+    """An unread record of a pessimistic best-response scan whose optimistic
+    value waits for its solve."""
+    rows = scan_candidates(graph, params, solution=sol)
+    return next(r for r in rows if not isinstance(r.__dict__["optimistic"], float))
+
+
+def test_deferred_record_behaves_as_its_eager_twin(tree7):
+    graph, params, _, sol = tree7
+    read = fresh_deferred(graph, params, sol)
+    eager = ZeroDayRecord(**{f.name: getattr(read, f.name) for f in dataclasses.fields(ZeroDayRecord)})
+    assert isinstance(eager.__dict__["optimistic"], float)
+
+    def fresh():
+        return fresh_deferred(graph, params, sol)
+
+    assert fresh() == eager and eager == fresh()
+    assert hash(fresh()) == hash(eager)
+    assert repr(fresh()) == repr(eager)
+    assert dataclasses.replace(fresh()) == eager
+    assert dataclasses.replace(fresh(), impact=1.0) == dataclasses.replace(eager, impact=1.0)
+    assert dataclasses.asdict(fresh()) == dataclasses.asdict(eager)
+    assert copy.copy(fresh()) == eager
+    # a deep copy or a pickle carries the float, not the scan's shared game data
+    for row in (copy.deepcopy(fresh()), pickle.loads(pickle.dumps(fresh()))):
+        assert isinstance(row.__dict__["optimistic"], float) and row == eager
+    row = fresh()
+    row.optimistic
+    assert row.__dict__["optimistic"] == eager.optimistic
+    row = fresh()
+    assert row.__class__(**row.__dict__) == eager
+    row = fresh()
+    assert row.__class__(**{**row.__dict__, "exploit_probability": 0.5}) == dataclasses.replace(
+        eager, exploit_probability=0.5
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fresh().optimistic = 0.0
+
+
+def fail_on_game(monkeypatch, graph, params, edge):
+    """Make ``zeroday.solve_zero_sum`` raise a :class:`SolverError` on the
+    augmented game of ``edge`` only; returns the error it raises."""
+    target = build_matrix(augment(graph, edge), params).matrix
+    error = SolverError("simplex iteration limit reached")
+
+    def failing(matrix, **kwargs):
+        if matrix.shape == target.shape and np.array_equal(matrix, target):
+            raise error
+        return solve_zero_sum(matrix, **kwargs)
+
+    monkeypatch.setattr(zeroday, "solve_zero_sum", failing)
+    return error
+
+
+def test_failed_solve_raises_on_every_read_of_its_record(net20, monkeypatch):
+    graph, params, _, sol = net20
+    eager = {r.edge: r.optimistic for r in scan_candidates(graph, params, solution=sol)}
+    error = fail_on_game(monkeypatch, graph, params, (0, 1))
+    rows = scan_candidates(graph, params, solution=sol)
+    failed = next(r for r in rows if r.edge == (0, 1))
+    for _ in range(2):
+        with pytest.raises(SolverError) as raised:
+            failed.optimistic
+        assert raised.value is error
+    with pytest.raises(SolverError):
+        repr(failed)
+    assert all(r.optimistic == eager[r.edge] for r in rows if r is not failed)
+    monkeypatch.undo()
+    assert failed.optimistic == eager[(0, 1)]
 
 
 def test_game_restricted_by_entries_is_rejected(net20):
@@ -322,8 +430,10 @@ def test_scan_fast_path_matches_full_rebuild(case):
             assert np.array_equal(matrix, literal_matrix(game2.graph, params, game2.actions, game2.paths, ()))
     for criterion in CRITERIA:
         for mode in PESSIMISTIC_MODES:
+            # replace() reads every field, so an optimistic value whose
+            # solve waits for its first read is solved inside _outcome
             scanned = _outcome(lambda: {
-                r.edge: r
+                r.edge: dataclasses.replace(r)
                 for r in scan_candidates(graph, params, criterion=criterion, pessimistic_mode=mode, solution=sol)
             })
             expected = _outcome(lambda: {
