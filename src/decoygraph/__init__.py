@@ -28,7 +28,6 @@ from .graph import (
     NodeRecord,
     ZeroDayCandidate,
     augment,
-    augmented_paths,
     enumerate_attack_paths,
     generate_zero_day_candidates,
     load_graph,
@@ -79,7 +78,6 @@ __all__ = [
     "ZeroDayRecord",
     "alpha_mitigation",
     "augment",
-    "augmented_paths",
     "build_matrix",
     "capture_proportion",
     "critical_point_mitigation",

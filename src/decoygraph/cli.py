@@ -299,14 +299,7 @@ def cmd_mitigate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     graph, params = _load_inputs(args)
-    game = build_matrix(graph, params)
-    solution = None
-    if "nash" in (args.defender, args.attacker):
-        solution = solve_zero_sum(game.matrix)
-    x = evaluation.make_policy(game, "defender", args.defender, solution)
-    y = evaluation.make_policy(game, "attacker", args.attacker, solution)
-    d, a = evaluation.expected_reward(game, x, y)
-    capture = evaluation.capture_proportion(game, x, y)
+    d, a, capture = evaluation.evaluate_pairing(graph, params, args.defender, args.attacker)
     if args.format == "json":
         _emit_json(
             {

@@ -140,6 +140,20 @@ def capture_proportion(game: GameInstance, x, y, pinned=()) -> float:
     return float(np.asarray(x) @ hit @ np.asarray(y))
 
 
+def evaluate_pairing(graph: AttackGraph, params: GameParams, defender: str, attacker: str, *, entries=None):
+    """Exact (defender reward, attacker reward, capture proportion) of the
+    defender and attacker policy kinds on the game of ``graph`` and
+    ``params``; the game is solved only when a side plays ``"nash"``."""
+    game = build_matrix(graph, params, entries=entries)
+    solution = None
+    if "nash" in (defender, attacker):
+        solution = solve_zero_sum(game.matrix)
+    x = make_policy(game, "defender", defender, solution)
+    y = make_policy(game, "attacker", attacker, solution)
+    d, a = expected_reward(game, x, y)
+    return d, a, capture_proportion(game, x, y)
+
+
 def _sweep_point(graph: AttackGraph, config: SweepConfig, value):
     params = config.params
     entries = None
@@ -151,13 +165,7 @@ def _sweep_point(graph: AttackGraph, config: SweepConfig, value):
         params = replace(params, budget=int(value))
     else:
         entries = tuple(value)
-    game = build_matrix(graph, params, entries=entries)
-    solution = None
-    if "nash" in (config.defender, config.attacker):
-        solution = solve_zero_sum(game.matrix)
-    x = make_policy(game, "defender", config.defender, solution)
-    y = make_policy(game, "attacker", config.attacker, solution)
-    d, a = expected_reward(game, x, y)
+    d, a, capture = evaluate_pairing(graph, params, config.defender, config.attacker, entries=entries)
     return EvalRow(
         parameter=config.parameter,
         value=value,
@@ -165,7 +173,7 @@ def _sweep_point(graph: AttackGraph, config: SweepConfig, value):
         attacker_policy=config.attacker,
         defender_reward=d,
         attacker_reward=a,
-        capture=capture_proportion(game, x, y),
+        capture=capture,
     )
 
 

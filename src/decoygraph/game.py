@@ -85,16 +85,15 @@ class GameInstance:
     columns: PathColumns
 
 
-def defender_actions(
-    graph: AttackGraph, params: GameParams, limit: int = DEFAULT_ACTION_LIMIT
-) -> tuple[tuple[int, ...], ...]:
-    """All edge subsets of size 0..budget, ordered by (size, edge ids)."""
+def defender_actions(graph: AttackGraph, params: GameParams) -> tuple[tuple[int, ...], ...]:
+    """All edge subsets of size 0..budget, ordered by (size, edge ids); at
+    most ``DEFAULT_ACTION_LIMIT`` of them."""
     n_edges = len(graph.edges)
     if params.budget > n_edges:
         raise ValueError(f"budget {params.budget} exceeds edge count {n_edges}")
     total = sum(math.comb(n_edges, k) for k in range(params.budget + 1))
-    if total > limit:
-        raise EnumerationLimitError(f"defender action count {total} exceeds limit {limit}")
+    if total > DEFAULT_ACTION_LIMIT:
+        raise EnumerationLimitError(f"defender action count {total} exceeds limit {DEFAULT_ACTION_LIMIT}")
     out = []
     for k in range(params.budget + 1):
         out.extend(combinations(range(n_edges), k))
@@ -128,12 +127,11 @@ class PathColumns:
     loop would. ``_steps`` holds each path's edge ids in path order, padded
     with the id E that no edge has, and the values of the nodes they enter,
     padded with 0.0; the other arrays are scattered from it. Scoring several
-    allocation sets against one path set reuses these columns.
+    allocation sets against one path set reuses these columns, which keep
+    neither the graph nor the paths.
     """
 
     def __init__(self, graph: AttackGraph, paths):
-        self.graph = graph
-        self.paths = paths
         hops = np.array([path.hops for path in paths], dtype=np.intp)
         width = int(hops.max(initial=1))
         walked = np.arange(width) < hops[:, None]
@@ -149,12 +147,11 @@ class PathColumns:
         self.incidence[positions[walked], column] = 1.0
         self.weights[positions[walked], column] = values[walked]
         # cumsum adds left to right; np.sum would add long rows pairwise
-        self.totals = np.cumsum(np.hstack([np.zeros((len(paths), 1)), values]), axis=1)[:, -1]
+        self.totals = np.cumsum(np.hstack([np.zeros((len(paths), 1)), values]), axis=1)[:, -1].copy()
 
     def take(self, index) -> "PathColumns":
         """The columns of the paths at positions ``index``, in that order."""
         out = copy.copy(self)
-        out.paths = [self.paths[j] for j in index]
         for name in ("incidence", "weights", "totals"):
             setattr(out, name, np.take(getattr(self, name), index, axis=-1))
         out._steps = tuple(np.take(steps, index, axis=0) for steps in self._steps)
@@ -183,8 +180,8 @@ class PathColumns:
         positions, values = self._steps
         covered = np.hstack([rows > 0, np.zeros((len(rows), 1), dtype=bool)])[:, positions]
         first = covered.argmax(axis=2)
-        running = np.cumsum(np.hstack([np.zeros((len(self.paths), 1)), -params.esc * values]), axis=1)
-        column = np.arange(len(self.paths))
+        running = np.cumsum(np.hstack([np.zeros((len(self.totals), 1)), -params.esc * values]), axis=1)
+        column = np.arange(len(self.totals))
         captured = running[column, first] + params.cap * values[column, first]
         escaped = running[column, hops.astype(int)]
         value_sums = np.where(covered.any(axis=2), captured, escaped)

@@ -8,7 +8,6 @@ simple directed path from an entry node to a target node.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ class GraphError(ValueError):
 
 
 class EnumerationLimitError(RuntimeError):
-    """An enumeration exceeded its configured cap; never truncated silently."""
+    """An enumeration exceeded its fixed cap; never truncated silently."""
 
 
 @dataclass(frozen=True)
@@ -221,14 +220,13 @@ def enumerate_attack_paths(
     max_hops: int | None = None,
     *,
     entries=None,
-    limit: int = DEFAULT_PATH_LIMIT,
 ) -> tuple[AttackPath, ...]:
     """All simple entry-to-target paths, deterministically ordered.
 
     Order is (entry id, target id, lexicographic node sequence). ``max_hops``
     bounds the edge count of a path; ``entries`` optionally restricts which
     entry nodes may start a path (used for compromised-entry sweeps). Raises
-    :class:`EnumerationLimitError` if more than ``limit`` paths exist.
+    :class:`EnumerationLimitError` past ``DEFAULT_PATH_LIMIT`` paths.
     """
     if max_hops is not None and max_hops < 1:
         raise GraphError(f"max_hops must be positive, got {max_hops}")
@@ -243,7 +241,7 @@ def enumerate_attack_paths(
     targets = set(graph.target_ids)
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for start in start_nodes:
-        _simple_walks(graph.successors, start, targets, found, max_hops=max_hops, limit=limit)
+        _simple_walks(graph.successors, start, targets, found, max_hops=max_hops, limit=DEFAULT_PATH_LIMIT)
     found.sort(key=lambda item: _canonical_order(item[0]))
     return tuple(AttackPath(nodes=n, edges=e) for n, e in found)
 
@@ -253,32 +251,7 @@ def _canonical_order(nodes: tuple[int, ...]):
     return (nodes[0], nodes[-1], nodes)
 
 
-def augmented_paths(
-    graph: AttackGraph,
-    base_paths,
-    edges,
-    *,
-    limit: int = DEFAULT_PATH_LIMIT,
-) -> list[tuple[AttackPath, ...]]:
-    """``enumerate_attack_paths(augment(graph, edge), limit=limit)`` for each
-    edge in ``edges``: the paths :func:`added_paths` finds for that edge,
-    merged into ``base_paths`` in the canonical order. ``base_paths`` must
-    be ``enumerate_attack_paths(graph)``; any other path set, such as that
-    of a game built with ``entries=``, raises :class:`GraphError`.
-    """
-    return [
-        tuple(heapq.merge(base_paths, new, key=lambda path: _canonical_order(path.nodes)))
-        for new in added_paths(graph, base_paths, edges, limit=limit)
-    ]
-
-
-def added_paths(
-    graph: AttackGraph,
-    base_paths,
-    edges,
-    *,
-    limit: int = DEFAULT_PATH_LIMIT,
-) -> list[tuple[AttackPath, ...]]:
+def added_paths(graph: AttackGraph, base_paths, edges) -> list[tuple[AttackPath, ...]]:
     """For each edge (u, v) in ``edges``, the attack paths that
     ``augment(graph, (u, v))`` has and ``graph`` lacks, in the canonical
     order. ``base_paths`` must be ``enumerate_attack_paths(graph)``; any
@@ -291,7 +264,7 @@ def added_paths(
     prefix. Only those new paths are enumerated, from prefix and suffix
     tables that the edges of one call share. Raises
     :class:`EnumerationLimitError` exactly when full enumeration of one of
-    the augmented graphs would.
+    the augmented graphs would, at ``DEFAULT_PATH_LIMIT`` paths.
     """
     if tuple(base_paths) != enumerate_attack_paths(graph):
         raise GraphError("base paths must be every attack path of the graph; a game built with entries= has fewer")
@@ -299,6 +272,7 @@ def added_paths(
     prefixes: dict[int, list] = {}
     suffixes: dict[int, list] = {}
     new_id = len(graph.edges)
+    limit = DEFAULT_PATH_LIMIT
     out = []
     for u, v in edges:
         _check_new_edge(graph, u, v)

@@ -217,7 +217,7 @@ def _mixed_columns(graph, columns, params, support, pinned):
     """
     allocations, probs = support
     rows, deployed = allocation_rows(graph, allocations, pinned)
-    scores = np.zeros((2, len(columns.paths)))
+    scores = np.zeros((2, len(columns.totals)))
     for prob, row, hit in zip(probs, columns.payoff(params, rows, deployed), columns.hits(rows)):
         scores[0] -= prob * row
         scores[1] += prob * hit

@@ -172,7 +172,6 @@ class _Augmentation:
         self.index[self.new_masks] = np.arange(n_base, len(self.paths))
         base_slots = (np.arange(width) < self.lengths[:, None]) & ~self.new_masks
         self.index[base_slots] = np.tile(np.arange(n_base), n_candidates)
-        self._stand_ins = {}
         self._rows = {}
         self._no_path_games = {}
 
@@ -180,10 +179,8 @@ class _Augmentation:
         """The augmented graph of the first candidate whose edge is in
         ``pins`` exactly when ``own_pinned``; every such candidate meets the
         same allocation rows on it as on its own augmented graph."""
-        if (own_pinned, pins) not in self._stand_ins:
-            edge = next(edge for edge in self.edges if (edge in pins) == own_pinned)
-            self._stand_ins[own_pinned, pins] = augment(self.graph, edge)
-        return self._stand_ins[own_pinned, pins]
+        edge = next(edge for edge in self.edges if (edge in pins) == own_pinned)
+        return augment(self.graph, edge)
 
     @cached_property
     def actions(self) -> tuple[tuple[int, ...], ...]:
@@ -241,18 +238,18 @@ class _DeferredOptimistic:
 
 
 def _records(game1, x1, y1, work, *, criterion, pessimistic_mode) -> list[ZeroDayRecord]:
-    """The scan record of each (edge, status, compute_optimistic) in
-    ``work`` against the base policy ``x1``. Where the optimistic value
-    enters nothing else in the record, its solve waits for its first read."""
+    """The scan record of each (edge, status) in ``work`` against the base
+    policy ``x1``. Where the optimistic value enters nothing else in the
+    record, its solve waits for its first read."""
     x_arr = _check_strategy(x1, game1.actions)
-    shared = _Augmentation(game1, [edge for edge, _, _ in work])
+    shared = _Augmentation(game1, [edge for edge, _ in work])
     index = {action: i for i, action in enumerate(shared.actions)}
     xhat = np.zeros(len(shared.actions))
     xhat[[index[action] for action in game1.actions]] = x_arr
     naive = float(np.max(-(x_arr @ game1.matrix)))
     naive_mixed = float(-(x_arr @ game1.matrix @ np.asarray(y1))) if y1 is not None else None
     records = []
-    for k, (edge, status, compute_optimistic) in enumerate(work):
+    for k, (edge, status) in enumerate(work):
         new_mask = shared.new_masks[k, : shared.lengths[k]]
         new_path_count = int(shared.lengths[k]) - len(game1.paths)
         game2 = shared.game(k)
@@ -262,15 +259,15 @@ def _records(game1, x1, y1, work, *, criterion, pessimistic_mode) -> list[ZeroDa
         br_value = float(column_rewards[br_index])
         br_strategy = pure_strategy(new_mask.size, br_index)
 
-        if compute_optimistic and criterion == "pessimistic" and pessimistic_mode == "best_response":
-            # no equilibrium strategy enters the rest of this record
-            optimistic = _DeferredOptimistic(shared, k, xhat)
-        elif compute_optimistic or pessimistic_mode == "game2_ne":
+        if criterion == "optimistic" or pessimistic_mode == "game2_ne":
             y2 = game2.attacker_equilibrium
             optimistic = float(column_rewards @ y2)
-        else:
-            y2 = br_strategy
+        elif status == "dominant":
+            # a rule-dominant edge's optimistic column is its best-response value
             optimistic = br_value
+        else:
+            # no equilibrium strategy enters the rest of this record
+            optimistic = _DeferredOptimistic(shared, k, xhat)
 
         if pessimistic_mode == "best_response":
             pessimistic, pes_strategy = br_value, br_strategy
@@ -314,25 +311,22 @@ def evaluate_candidate(
     pessimistic_mode: str = "best_response",
     y1=None,
     status: str = "analyzed",
-    compute_optimistic: bool = True,
 ) -> ZeroDayRecord:
     """Build the augmented game for one candidate edge and score it.
 
     ``x1`` is the base deception policy (game-1 defender equilibrium). The
     optional ``y1`` (game-1 attacker equilibrium) enables the dominance
-    classification against the supported old paths. When
-    ``compute_optimistic`` is false the equilibrium solve of the augmented
-    game is skipped and the optimistic column reports the direct
-    best-response value (used for rule-dominant entry-to-target edges).
-    When it is true, a pessimistic best-response record solves that game
-    on the first read of ``optimistic``, and every other record while it
-    is scored. ``game1`` must hold every attack path of its graph; a game
-    built with ``entries=`` raises ``ValueError``.
+    classification against the supported old paths. A ``"dominant"``
+    ``status`` (a rule-dominant entry-to-target edge) under the pessimistic
+    criterion skips the equilibrium solve of the augmented game, and the
+    optimistic column reports the direct best-response value. Otherwise a
+    pessimistic best-response record solves that game on the first read of
+    ``optimistic``, and every other record while it is scored. ``game1``
+    must hold every attack path of its graph; a game built with
+    ``entries=`` raises ``ValueError``.
     """
     criterion = _check_options(criterion, pessimistic_mode)
-    (record,) = _records(
-        game1, x1, y1, [(edge, status, compute_optimistic)], criterion=criterion, pessimistic_mode=pessimistic_mode
-    )
+    (record,) = _records(game1, x1, y1, [(edge, status)], criterion=criterion, pessimistic_mode=pessimistic_mode)
     return record
 
 
@@ -362,10 +356,9 @@ def scan_candidates(
     if solution is None:
         solution = solve_zero_sum(game1.matrix)
 
-    work = [c for c in generate_zero_day_candidates(graph) if c.status in ("analyzed", "dominant")]
+    work = [(c.edge, c.status) for c in generate_zero_day_candidates(graph) if c.status in ("analyzed", "dominant")]
     if not work:
         return []
-    work = [(c.edge, c.status, not (c.status == "dominant" and criterion == "pessimistic")) for c in work]
     records = _records(
         game1,
         solution.defender_strategy,

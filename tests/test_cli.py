@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from decoygraph import fixtures
+from decoygraph import evaluation, fixtures
 from decoygraph.cli import _emit_json, main, validate_plan_document, validate_report_document
 from test_zeroday import fail_on_game
 
@@ -205,6 +205,28 @@ def test_evaluate_pairing(fixture_dir, capsys):
     lines = out.splitlines()
     assert lines[0] == "def_policy,atk_policy,def_reward,atk_reward,capture"
     assert lines[1] == "greedy,random,16.000000,-16.000000,1.000000"
+
+
+@pytest.mark.parametrize("attacker", evaluation.POLICY_KINDS)
+@pytest.mark.parametrize("defender", evaluation.POLICY_KINDS)
+@pytest.mark.parametrize("name", ["line3", "tree7", "net20"])
+def test_evaluate_pairing_matches_sweep_and_cli(fixture_dir, capsys, name, defender, attacker):
+    graph_fn, params_fn = fixtures.FIXTURES[name]
+    graph, params = graph_fn(), params_fn()
+    got = evaluation.evaluate_pairing(graph, params, defender, attacker)
+    config = evaluation.SweepConfig("honeypots", (params.budget,), params, defender, attacker)
+    row = evaluation.sweep(graph, config).rows[0]
+    assert [v.hex() for v in got] == [v.hex() for v in (row.defender_reward, row.attacker_reward, row.capture)]
+    code, out, _ = run(
+        capsys, "evaluate", "-g", str(fixture_dir / f"{name}.json"), "-p", str(fixture_dir / f"{name}_params.json"),
+        "--defender", defender, "--attacker", attacker, "--format", "json",
+    )
+    assert code == 0
+    d, a, capture = (round(v, 6) + 0.0 for v in got)
+    assert json.loads(out) == {
+        "defender_policy": defender, "attacker_policy": attacker,
+        "defender_reward": d, "attacker_reward": a, "capture": capture,
+    }
 
 
 def test_sweep_honeypots(fixture_dir, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoygraph import game as game_module
 from decoygraph.game import (
     GameParams,
     PathColumns,
@@ -90,12 +91,13 @@ def test_action_count_binomial_sum(net20):
     assert pairs == sorted(pairs)
 
 
-def test_action_budget_and_limit_checks(line3):
+def test_action_budget_and_limit_checks(line3, monkeypatch):
     graph, _, _, _ = line3
     with pytest.raises(ValueError, match="exceeds edge count"):
         defender_actions(graph, GameParams(budget=5))
-    with pytest.raises(EnumerationLimitError):
-        defender_actions(graph, GameParams(budget=1), limit=2)
+    monkeypatch.setattr(game_module, "DEFAULT_ACTION_LIMIT", 2)
+    with pytest.raises(EnumerationLimitError, match="defender action count 3 exceeds limit 2"):
+        defender_actions(graph, GameParams(budget=1))
 
 
 def payoff_matrix(graph, params, actions, paths, pinned=()):
@@ -275,7 +277,8 @@ def test_path_columns_match_per_path_loop(g, data):
         assert array.tobytes() == expected.tobytes()
     index = data.draw(st.lists(st.integers(min_value=0, max_value=len(paths) - 1), max_size=2 * len(paths)))
     taken, fresh = columns.take(index), PathColumns(graph, [paths[j] for j in index])
-    assert taken.paths == fresh.paths
+    # totals own their data: no table keeps the running-sum array alive
+    assert columns.totals.base is None and taken.totals.base is None and fresh.totals.base is None
     for name in ("incidence", "weights", "totals"):
         assert getattr(taken, name).tobytes() == getattr(fresh, name).tobytes()
     # taken rows keep the table's padding, wider than the fresh table's

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoygraph import graph as graph_module
 from decoygraph.graph import (
     EnumerationLimitError,
     GraphError,
     NodeRecord,
     _reachable,
+    added_paths,
     augment,
-    augmented_paths,
     enumerate_attack_paths,
     generate_zero_day_candidates,
     graph_from_parts,
@@ -112,10 +113,11 @@ def test_max_hops_filters_long_paths():
         enumerate_attack_paths(g, max_hops=0)
 
 
-def test_path_limit_is_loud():
+def test_path_limit_is_loud(monkeypatch):
     g = augment(line3(), (1, 3))
+    monkeypatch.setattr(graph_module, "DEFAULT_PATH_LIMIT", 1)
     with pytest.raises(EnumerationLimitError, match="exceeds limit 1"):
-        enumerate_attack_paths(g, limit=1)
+        enumerate_attack_paths(g)
 
 
 def test_entry_restriction(net20):
@@ -263,15 +265,24 @@ def _paths_or_limit(enumerate_paths):
         return str(exc)
 
 
+def _new_paths(g, base, edge):
+    """The attack paths of ``augment(g, edge)`` that ``base`` lacks, by full
+    enumeration."""
+    known = set(base)
+    return tuple(path for path in enumerate_attack_paths(augment(g, edge)) if path not in known)
+
+
 @given(role_digraphs(), st.integers(min_value=1, max_value=40))
 @settings(max_examples=80, deadline=None)
 def test_augmented_paths_equal_full_enumeration(g, limit):
     base = enumerate_attack_paths(g)
     non_edges = [(u, v) for u in g.node_ids for v in g.node_ids if u != v and (u, v) not in g.edge_index]
-    assert augmented_paths(g, base, non_edges) == [enumerate_attack_paths(augment(g, e)) for e in non_edges]
-    for edge in non_edges:
-        limited = _paths_or_limit(lambda: enumerate_attack_paths(augment(g, edge), limit=limit))
-        assert _paths_or_limit(lambda: augmented_paths(g, base, [edge], limit=limit)[0]) == limited
+    assert added_paths(g, base, non_edges) == [_new_paths(g, base, e) for e in non_edges]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "DEFAULT_PATH_LIMIT", limit)
+        for edge in non_edges:
+            limited = _paths_or_limit(lambda: _new_paths(g, base, edge))
+            assert _paths_or_limit(lambda: added_paths(g, base, [edge])[0]) == limited
 
 
 @given(role_digraphs(), st.data())
@@ -283,7 +294,9 @@ def test_walks_match_breadth_first_oracle(g, data):
     starts = g.entry_ids if entries is None else sorted(entries)
     expected = breadth_first_paths(g.edges, starts, set(g.target_ids), max_hops)
     try:
-        got = enumerate_attack_paths(g, max_hops, entries=entries, limit=limit)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "DEFAULT_PATH_LIMIT", limit)
+            got = enumerate_attack_paths(g, max_hops, entries=entries)
     except EnumerationLimitError as exc:
         assert len(expected) > limit
         assert str(exc) == f"path count exceeds limit {limit}"
@@ -310,10 +323,11 @@ def test_augmented_paths_through_cycles_and_inner_roles():
     g = graph_from_parts(nodes, [(0, 1), (1, 2), (2, 4), (4, 1), (4, 3), (3, 5), (0, 3)])
     base = enumerate_attack_paths(g)
     edges = [(2, 5), (4, 5), (3, 1), (5, 0), (1, 3)]
-    for edge, paths in zip(edges, augmented_paths(g, base, edges)):
-        assert paths == enumerate_attack_paths(augment(g, edge))
-        assert len(paths) > len(base) or edge == (5, 0)
-    with pytest.raises(EnumerationLimitError, match="exceeds limit 3"):
-        augmented_paths(g, base, [(1, 3)], limit=3)
+    for edge, new in zip(edges, added_paths(g, base, edges)):
+        assert new == _new_paths(g, base, edge)
+        assert new or edge == (5, 0)
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(EnumerationLimitError, match="exceeds limit 3"):
+        mp.setattr(graph_module, "DEFAULT_PATH_LIMIT", 3)
+        added_paths(g, base, [(1, 3)])
     with pytest.raises(GraphError, match="already present"):
-        augmented_paths(g, base, [(0, 1)])
+        added_paths(g, base, [(0, 1)])

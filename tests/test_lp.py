@@ -291,6 +291,26 @@ def test_game_solve_peak_memory_stays_near_one_tableau():
     assert peak < 1.25 * tableau_bytes
 
 
+# The two halves of the ratio test, each on an LP where only that half
+# decides the pivot row (x is the one structural column, so column 0).
+def test_ratio_test_skips_entries_small_beside_the_column():
+    # 1e-7 is above FEASIBILITY_TOL but not above FEASIBILITY_TOL * 1000:
+    # pivoting on it would read the row 1e-7 x <= 0 as binding
+    final = _simplex_loop(np.array([-1.0]), np.array([[1e-7], [1000.0]]), np.array([0.0, 1.0]))
+    assert final.basis.tolist() == [1, 0]
+    assert final.tableau[1, -1] == 1.0 / 1000.0
+
+
+def test_ratio_test_reads_negative_right_hand_sides_as_zero():
+    # the ratio -1e-12 / 1e-4 = -1e-8 is further below the tie band's 1e-9
+    # than row 0's ratio 0.0: taken as it is, it pivots on 1e-4 and sets
+    # x = -1e-8; read as 0.0 it ties with row 0, whose basic variable has
+    # the smaller index
+    final = _simplex_loop(np.array([-1.0]), np.array([[1.0], [1e-4]]), np.array([0.0, -1e-12]))
+    assert final.basis.tolist() == [0, 2]
+    assert final.tableau[0, -1] == 0.0
+
+
 # Two augmented games that an earlier ratio test could not solve. It pivoted
 # on column entries just above FEASIBILITY_TOL and took ratios from
 # right-hand sides that rounding had left slightly negative, which moved the

@@ -163,11 +163,7 @@ def test_candidate_independence_matches_itemwise(line3):
     graph, params, game, sol = line3
     rows = scan_candidates(graph, params, solution=sol)
     for rec in rows:
-        skip_opt = rec.status == "dominant"
-        again = evaluate_candidate(
-            game, sol.defender_strategy, rec.edge, y1=sol.attacker_strategy,
-            status=rec.status, compute_optimistic=not skip_opt,
-        )
+        again = evaluate_candidate(game, sol.defender_strategy, rec.edge, y1=sol.attacker_strategy, status=rec.status)
         assert again == rec
 
 
