@@ -132,7 +132,7 @@ class PathColumns:
     """
 
     def __init__(self, graph: AttackGraph, paths):
-        hops = np.array([path.hops for path in paths], dtype=np.intp)
+        hops = np.fromiter((path.hops for path in paths), dtype=np.intp, count=len(paths))
         width = int(hops.max(initial=1))
         walked = np.arange(width) < hops[:, None]
         positions = np.full((len(paths), width), len(graph.edges), dtype=np.intp)
@@ -140,14 +140,31 @@ class PathColumns:
         values = np.zeros((len(paths), width))
         node_values = graph.values
         values[walked] = [node_values[node] for path in paths for node in path.nodes[1:]]
+        self._fill(len(graph.edges), positions, values)
+
+    @classmethod
+    def from_steps(cls, n_edges: int, positions, values) -> "PathColumns":
+        """The columns of the paths whose padded steps are ``positions``
+        (edge ids below ``n_edges``, padded with ``n_edges``) and ``values``
+        (padded with 0.0), laid out as ``_steps``."""
+        columns = cls.__new__(cls)
+        columns._fill(n_edges, positions, values)
+        return columns
+
+    def _fill(self, n_edges, positions, values):
         self._steps = positions, values
-        self.incidence = np.zeros((len(graph.edges), len(paths)))
-        self.weights = np.zeros((len(graph.edges), len(paths)))
-        column = np.repeat(np.arange(len(paths)), hops)
-        self.incidence[positions[walked], column] = 1.0
-        self.weights[positions[walked], column] = values[walked]
-        # cumsum adds left to right; np.sum would add long rows pairwise
-        self.totals = np.cumsum(np.hstack([np.zeros((len(paths), 1)), values]), axis=1)[:, -1].copy()
+        # pads scatter into one spare edge row, which is cut off
+        paths = np.arange(len(positions))[:, None]
+        self.incidence = np.zeros((n_edges + 1, len(positions)))
+        self.incidence[positions, paths] = 1.0
+        self.incidence = self.incidence[:n_edges]
+        self.weights = np.zeros((n_edges + 1, len(positions)))
+        self.weights[positions, paths] = values
+        self.weights = self.weights[:n_edges]
+        # adds left to right, as a per-node loop would; np.sum would add long rows pairwise
+        self.totals = np.zeros(len(positions))
+        for column in values.T:
+            self.totals += column
 
     def take(self, index) -> "PathColumns":
         """The columns of the paths at positions ``index``, in that order."""
@@ -206,9 +223,9 @@ def allocation_rows(graph: AttackGraph, actions, pinned=()):
     pins = {tuple(p) for p in pinned}
     pin_ids = [graph.edge_index[p] for p in pins if p in graph.edge_index]
     rows = np.zeros((len(actions), len(graph.edges)))
-    for i, action in enumerate(actions):
-        for eid in action:
-            rows[i, eid] = 1.0
+    sizes = np.fromiter(map(len, actions), dtype=np.intp, count=len(actions))
+    edge_ids = np.fromiter(chain.from_iterable(actions), dtype=np.intp, count=int(sizes.sum()))
+    rows[np.repeat(np.arange(len(actions)), sizes), edge_ids] = 1.0
     rows[:, pin_ids] = 1.0
     return rows, rows.sum(axis=1) + (len(pins) - len(pin_ids))
 

@@ -12,10 +12,15 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 ROLES = ("entry", "intermediate", "target")
 
 DEFAULT_PATH_LIMIT = 1_000_000
+
+PAIR_CHUNK = 1 << 16  # prefix-suffix pairs that join_added_paths tests in one step
 
 
 class GraphError(ValueError):
@@ -251,50 +256,228 @@ def _canonical_order(nodes: tuple[int, ...]):
     return (nodes[0], nodes[-1], nodes)
 
 
+@dataclass(frozen=True, eq=False)
+class AddedPaths:
+    """The attack paths that each edge of a list adds to a graph, as padded
+    arrays: row i is one new path, the rows of edge k come after those of
+    the edges before it, and each edge's rows are in the canonical order.
+
+    ``counts[k]`` is the number of paths edge k adds. ``nodes[i]`` holds
+    path i's nodes as positions in ``sorted(graph.node_ids)``, padded with
+    -1. ``steps[i]`` holds its edge ids, where the added edge is E =
+    ``len(graph.edges)``, padded with E + 1, and ``values[i]`` the values of
+    the nodes those edges enter, padded with 0.0. ``base_rank[i]`` is the
+    number of base paths before path i in the canonical order.
+    """
+
+    counts: np.ndarray
+    nodes: np.ndarray
+    steps: np.ndarray
+    values: np.ndarray
+    base_rank: np.ndarray
+
+
 def added_paths(graph: AttackGraph, base_paths, edges) -> list[tuple[AttackPath, ...]]:
     """For each edge (u, v) in ``edges``, the attack paths that
     ``augment(graph, (u, v))`` has and ``graph`` lacks, in the canonical
-    order. ``base_paths`` must be ``enumerate_attack_paths(graph)``; any
-    other path set, such as that of a game built with ``entries=``, raises
-    :class:`GraphError`.
+    order: the paths of :func:`join_added_paths`, with its checks and
+    errors."""
+    added = join_added_paths(graph, base_paths, edges)
+    ids = sorted(graph.node_ids)
+    lengths = (added.nodes >= 0).sum(axis=1).tolist()
+    paths = [
+        AttackPath(nodes=tuple(ids[i] for i in nodes[:length]), edges=tuple(steps[: length - 1]))
+        for nodes, steps, length in zip(added.nodes.tolist(), added.steps.tolist(), lengths)
+    ]
+    ends = np.cumsum(added.counts).tolist()
+    return [tuple(paths[start:end]) for start, end in zip([0, *ends], ends)]
+
+
+def join_added_paths(graph: AttackGraph, base_paths, edges) -> AddedPaths:
+    """The attack paths that ``augment(graph, (u, v))`` has and ``graph``
+    lacks, for each edge (u, v) in ``edges``. ``base_paths`` must be
+    ``enumerate_attack_paths(graph)``; any other path set, such as that of a
+    game built with ``entries=``, raises :class:`GraphError`.
 
     A path of an augmented graph either avoids the new edge (u, v), and is
     then a base path, or takes it once: a simple entry-to-u prefix, then
     (u, v), then a simple v-to-target suffix that shares no node with the
-    prefix. Only those new paths are enumerated, from prefix and suffix
-    tables that the edges of one call share. Raises
-    :class:`EnumerationLimitError` exactly when full enumeration of one of
-    the augmented graphs would, at ``DEFAULT_PATH_LIMIT`` paths.
+    prefix. The prefix walks of each distinct tail and the suffix walks of
+    each distinct head are padded arrays with a node-membership bit mask per
+    walk. Every candidate's prefix-suffix pairs are formed by index
+    arithmetic, ``PAIR_CHUNK`` at a time, and a pair is kept when the AND of
+    its two masks is empty. One gather joins the kept pairs, and one sort of
+    packed keys puts them in the canonical order and ranks them among the
+    base paths.
+
+    Edges are checked in list order, as one at a time would be: an invalid
+    edge raises :class:`GraphError`, and an edge whose augmented graph has
+    more than ``DEFAULT_PATH_LIMIT`` paths raises
+    :class:`EnumerationLimitError`, exactly when full enumeration of that
+    graph would.
     """
     if tuple(base_paths) != enumerate_attack_paths(graph):
         raise GraphError("base paths must be every attack path of the graph; a game built with entries= has fewer")
-    entries, targets = set(graph.entry_ids), set(graph.target_ids)
-    prefixes: dict[int, list] = {}
-    suffixes: dict[int, list] = {}
-    new_id = len(graph.edges)
-    limit = DEFAULT_PATH_LIMIT
-    out = []
-    for u, v in edges:
-        _check_new_edge(graph, u, v)
-        if len(base_paths) > limit:
+    # the edges before an invalid one are joined: one may exceed the path limit
+    edges = list(edges)
+    n_valid, invalid = _first_invalid_edge(graph, edges)
+    edges = edges[:n_valid]
+    order = sorted(graph.node_ids)
+    position = {node: i for i, node in enumerate(order)}
+    n_edges, limit = len(graph.edges), DEFAULT_PATH_LIMIT
+
+    def dense(adjacency):
+        return [tuple((position[nxt], eid) for nxt, eid in adjacency[node]) for node in order]
+
+    tails, heads = np.array([(position[u], position[v]) for u, v in edges], dtype=np.intp).reshape(-1, 2).T
+    # step j of a walk is the edge that leaves its node j: prefixes run
+    # entry -> u and leave u by the new edge E, suffixes run v -> target and
+    # leave the target by the pad E + 1
+    pre_walks, prefixes = _walk_table(
+        dense(graph.predecessors), tails, {position[node] for node in graph.entry_ids},
+        lambda nodes, eids: (nodes[::-1], eids[::-1] + (n_edges,)), n_edges + 1,
+    )
+    # suffix rows get the longest prefix's width to spare, so a joined row
+    # can read past its suffix's end into pads
+    suf_walks, suffixes = _walk_table(
+        dense(graph.successors), heads, {position[node] for node in graph.target_ids},
+        lambda nodes, eids: (nodes, eids + (n_edges + 1,)), n_edges + 1, spare=prefixes[0].shape[1],
+    )
+    pre_masks, suf_masks = _node_masks(prefixes[0], len(order)), _node_masks(suffixes[0], len(order))
+
+    pre_first, n_pre = pre_walks[:, tails]
+    suf_first, n_suf = suf_walks[:, heads]
+    sizes = n_pre * n_suf
+    offsets = np.cumsum(sizes) - sizes
+    counts = np.zeros(len(edges), dtype=np.intp)
+    kept = [np.zeros((3, 0), dtype=np.intp)]
+    total = int(sizes.sum())
+    for start in range(0, total, PAIR_CHUNK):
+        flat = np.arange(start, min(start + PAIR_CHUNK, total))
+        k = np.searchsorted(offsets, flat, side="right") - 1
+        quotient, remainder = np.divmod(flat - offsets[k], n_suf[k])
+        pairs = np.stack([k, pre_first[k] + quotient, suf_first[k] + remainder])
+        apart = ~(np.take(pre_masks, pairs[1], axis=0) & np.take(suf_masks, pairs[2], axis=0)).any(axis=1)
+        kept.append(pairs[:, apart])
+        counts += np.bincount(kept[-1][0], minlength=len(edges))
+        if len(base_paths) + int(counts.max()) > limit:
             raise EnumerationLimitError(f"path count exceeds limit {limit}")
-        if u not in prefixes:
-            prefixes[u] = [
-                (set(nodes), nodes[::-1], eids[::-1])
-                for nodes, eids in _simple_walks(graph.predecessors, u, entries)
-            ]
-        if v not in suffixes:
-            suffixes[v] = _simple_walks(graph.successors, v, targets)
-        new = []
-        for on_prefix, pre_nodes, pre_edges in prefixes[u]:
-            for suf_nodes, suf_edges in suffixes[v]:
-                if on_prefix.isdisjoint(suf_nodes):
-                    if len(base_paths) + len(new) >= limit:
-                        raise EnumerationLimitError(f"path count exceeds limit {limit}")
-                    new.append(AttackPath(nodes=pre_nodes + suf_nodes, edges=pre_edges + (new_id,) + suf_edges))
-        new.sort(key=lambda p: _canonical_order(p.nodes))
-        out.append(tuple(new))
+    if invalid is not None:
+        raise invalid
+    candidate, pre, suf = np.hstack(kept)
+
+    nodes, steps = _joined(prefixes, pre, suffixes, suf)
+    base_lengths = [len(path.nodes) for path in base_paths]
+    base_nodes = _padded(base_lengths, map(position.__getitem__, chain.from_iterable(p.nodes for p in base_paths)), -1)
+    ranks, perm = _canonical_ranks(
+        base_nodes, base_nodes[np.arange(len(base_nodes)), np.array(base_lengths) - 1],
+        nodes, suffixes[0][suf, suffixes[2][suf] - 1], candidate, len(order),
+    )
+    # a suffix's last step is the pad, so the joined steps have one column to spare
+    nodes, steps = nodes[perm], steps[perm, :-1]
+    node_values = np.array([graph.values[node] for node in order] + [0.0])
+    return AddedPaths(counts=counts, nodes=nodes, steps=steps, values=node_values[nodes[:, 1:]], base_rank=ranks)
+
+
+def _walk_table(neighbours, starts, ends, orient, pad, spare=0):
+    """The simple walks from each distinct node of ``starts`` to a node of
+    ``ends``, put in path order by ``orient(nodes, edges)``, which returns
+    as many steps as nodes. Returns a (2, nodes) array whose column
+    ``start`` is the (first walk, walk count) of that start, and the walks
+    as a table: their nodes padded with -1, their steps padded with ``pad``,
+    each ``spare`` columns wider than the longest walk, and their lengths.
+    """
+    first, count, walks = [0] * len(neighbours), [0] * len(neighbours), []
+    for start in dict.fromkeys(starts.tolist()):
+        first[start] = len(walks)
+        walks.extend(orient(nodes, eids) for nodes, eids in _simple_walks(neighbours, start, ends))
+        count[start] = len(walks) - first[start]
+    lengths = [len(nodes) for nodes, _ in walks]
+    nodes = _padded(lengths, chain.from_iterable(nodes for nodes, _ in walks), -1, spare)
+    steps = _padded(lengths, chain.from_iterable(eids for _, eids in walks), pad, spare)
+    return np.array([first, count], dtype=np.intp), (nodes, steps, np.array(lengths, dtype=np.intp))
+
+
+def _padded(lengths, entries, pad, spare=0):
+    """The integer sequences of the given ``lengths``, whose entries
+    ``entries`` yields in turn, as the rows of one array padded at the end
+    with ``pad``, ``spare`` columns wider than the longest sequence."""
+    lengths = np.array(lengths, dtype=np.intp)
+    filled = np.arange(int(lengths.max(initial=0)) + spare) < lengths[:, None]
+    out = np.full(filled.shape, pad, dtype=np.intp)
+    out[filled] = np.fromiter(entries, dtype=np.intp, count=int(lengths.sum()))
     return out
+
+
+def _node_masks(nodes, n_nodes):
+    """The nodes of each row of the -1-padded ``nodes`` as a bit mask, one
+    bit per node position, in (rows, ceil(n_nodes / 64)) words."""
+    walked = nodes >= 0
+    masks = np.zeros((len(nodes), -(-n_nodes // 64)), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (nodes[walked] % 64).astype(np.uint64))
+    np.bitwise_or.at(masks, (np.nonzero(walked)[0], nodes[walked] // 64), bits)
+    return masks
+
+
+def _joined(left, left_rows, right, right_rows):
+    """The (nodes, steps) rows that join walk ``left_rows[i]`` of the table
+    ``left`` and walk ``right_rows[i]`` of ``right`` (tables of
+    :func:`_walk_table`), padded with the pads of ``right``: one gather
+    from both tables per array. A joined row reads on past its right walk's
+    end into that walk's pads, which ``right``'s spare columns hold."""
+    (left_nodes, left_steps, left_len), (right_nodes, right_steps, right_len) = left, right
+    split = left_len[left_rows][:, None]
+    # a joined row has at least one node from each walk
+    column = np.arange(int((left_len[left_rows] + right_len[right_rows]).max(initial=2)))
+    source = column + np.where(
+        column < split,
+        left_rows[:, None] * left_nodes.shape[1],
+        left_nodes.size + right_rows[:, None] * right_nodes.shape[1] - split,
+    )
+    return tuple(
+        np.concatenate([left_table.ravel(), right_table.ravel()])[source]
+        for left_table, right_table in ((left_nodes, right_nodes), (left_steps, right_steps))
+    )
+
+
+def _canonical_ranks(base_nodes, base_targets, nodes, targets, candidate, n_nodes):
+    """Sort the new paths, given as -1-padded node-position rows ``nodes``
+    and their ``targets``, by ``candidate`` and then the canonical order,
+    and count the base paths, given the same way, before each: returns
+    (those counts, the sorting permutation).
+
+    Positions follow node id order, and -1 sorts before every node, so the
+    padded rows of (entry, target, the other nodes) sort as the canonical
+    key does; :func:`_packed` makes them a few integer sort keys. No new
+    path has a base path's node sequence, since it walks the one edge the
+    base graph lacks, so one sort of the base and new rows together ranks
+    each new path among the base paths.
+    """
+    n_base = len(base_nodes)
+    rows = np.full((n_base + len(nodes), 1 + max(base_nodes.shape[1], nodes.shape[1])), -1, dtype=np.intp)
+    rows[:, 0] = np.concatenate([base_nodes[:, 0], nodes[:, 0]])
+    rows[:, 1] = np.concatenate([base_targets, targets])
+    rows[:n_base, 2 : base_nodes.shape[1] + 1] = base_nodes[:, 1:]
+    rows[n_base:, 2 : nodes.shape[1] + 1] = nodes[:, 1:]
+    order = np.lexsort(_packed(rows + 1, n_nodes + 1)[::-1])
+    is_base = order < n_base
+    before = np.cumsum(is_base) - is_base
+    new_order = order[~is_base] - n_base
+    by_candidate = np.argsort(candidate[new_order], kind="stable")
+    return before[~is_base][by_candidate], new_order[by_candidate]
+
+
+def _packed(rows, n_values):
+    """Rows of integers in [0, ``n_values``) as the fewest int64 columns,
+    most significant first, that order them as their entries would, left to
+    right: each column holds as many entries as fit, in bit fields."""
+    bits = max(int(n_values - 1).bit_length(), 1)
+    per_column = 63 // bits
+    shifts = bits * np.arange(per_column - 1, -1, -1)
+    return [
+        (rows[:, i : i + per_column] << shifts[: rows[:, i : i + per_column].shape[1]]).sum(axis=1)
+        for i in range(0, rows.shape[1], per_column)
+    ]
 
 
 def _simple_walks(neighbours, start: int, ends: set[int], found=None, *, max_hops=None, limit=None):
@@ -303,7 +486,7 @@ def _simple_walks(neighbours, start: int, ends: set[int], found=None, *, max_hop
     sequence, edge sequence) in walk order, appended to ``found`` (a new
     list by default), which is returned. The one depth-first search of the
     package: attack paths are its forward walks from entries to targets,
-    and :func:`added_paths` joins its backward and forward walks.
+    and :func:`join_added_paths` joins its backward and forward walks.
 
     ``max_hops`` bounds a walk's edge count. With ``limit``, a walk that
     would make ``found`` longer than ``limit`` raises
@@ -371,15 +554,24 @@ def augment(graph: AttackGraph, edge) -> AttackGraph:
     The new edge gets id ``len(graph.edges)``, preserving all existing ids.
     """
     u, v = edge
-    _check_new_edge(graph, u, v)
+    _, invalid = _first_invalid_edge(graph, [(u, v)])
+    if invalid is not None:
+        raise invalid
     return AttackGraph(nodes=graph.nodes, edges=graph.edges + ((u, v),))
 
 
-def _check_new_edge(graph: AttackGraph, u, v) -> None:
-    for endpoint in (u, v):
-        if endpoint not in graph.node_ids:
-            raise GraphError(f"edge ({u}, {v}) references unknown node {endpoint}")
-    if u == v:
-        raise GraphError(f"self-loop edge ({u}, {v})")
-    if (u, v) in graph.edge_index:
-        raise GraphError(f"edge ({u}, {v}) already present")
+def _first_invalid_edge(graph: AttackGraph, edges):
+    """The index of the first (u, v) in ``edges`` that cannot be added to
+    ``graph`` as a new edge, and the :class:`GraphError` saying why; or
+    (len(edges), None) when every edge can."""
+    node_ids, present = graph.node_ids, graph.edge_index
+    for k, (u, v) in enumerate(edges):
+        if u in node_ids and v in node_ids and u != v and (u, v) not in present:
+            continue
+        for endpoint in (u, v):
+            if endpoint not in node_ids:
+                return k, GraphError(f"edge ({u}, {v}) references unknown node {endpoint}")
+        if u == v:
+            return k, GraphError(f"self-loop edge ({u}, {v})")
+        return k, GraphError(f"edge ({u}, {v}) already present")
+    return len(edges), None

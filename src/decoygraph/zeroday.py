@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import io
 import csv
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from .game import (
     defender_actions,
     pure_strategy,
 )
-from .graph import AttackGraph, _canonical_order, added_paths, augment, generate_zero_day_candidates
+from .graph import AttackGraph, augment, generate_zero_day_candidates, join_added_paths
 from .lp import solve_zero_sum
 
 CRITERIA = ("pessimistic", "optimistic")
@@ -133,21 +131,24 @@ class _Augmentation:
 
     Every augmented graph has the base graph's E edges plus the candidate,
     which gets id E. So the defender's E+1-edge allocations are the same for
-    every candidate, and all candidates' paths share one table: ``paths``
-    holds the base paths, then each candidate's new paths. Row k of the
-    padded (candidates, longest) array ``index`` lists the positions of
-    candidate k's paths, in canonical order, in that table; its first
-    ``lengths[k]`` entries are real and the rest hold the pad
-    ``len(paths)``. ``new_masks`` has the same shape and is true where a
-    real entry is one of the candidate's new paths. A new path's place in
-    its row is its insertion rank among the base paths plus the number of
-    new paths before it: canonical keys are unique, so this is the place a
-    stable sort of all its paths gives it. The table's columns are built
-    once. The allocation rows under a set of pins differ between candidates
-    only in whether the candidate's own edge is pinned: edge E is covered
-    exactly then, and every other pin is a base edge or an off-graph
-    location that only costs ``honeypot_cost``. So one candidate's graph
-    per "own edge pinned" flag stands in for all candidates with that flag.
+    every candidate, and all candidates' paths share one table: ``columns``
+    holds its reward-kernel columns over those E+1 edges, for the base
+    paths, then each candidate's new paths. The table is built from arrays
+    only: the base rows of ``game1.columns`` and the new rows of one
+    :func:`~decoygraph.graph.join_added_paths`. Row k of the padded
+    (candidates, longest) array ``index`` lists the positions of candidate
+    k's paths, in canonical order, in that table; its first ``lengths[k]``
+    entries are real and the rest hold the pad, the table's path count.
+    ``new_masks`` has the same shape and is true where a real entry is one
+    of the candidate's new paths. A new path's place in its row is its rank
+    among the base paths plus the number of new paths before it: canonical
+    keys are unique, so this is the place a stable sort of all its paths
+    gives it. The allocation rows under a set of pins differ between
+    candidates only in whether the candidate's own edge is pinned: edge E
+    is covered exactly then, and every other pin is a base edge or an
+    off-graph location that only costs ``honeypot_cost``. So one
+    candidate's graph per "own edge pinned" flag stands in for all
+    candidates with that flag.
     A candidate that adds no path has exactly the base paths, so all such
     candidates with the same flag share one augmented game.
     """
@@ -155,21 +156,27 @@ class _Augmentation:
     def __init__(self, game1: GameInstance, edges):
         self.graph, self.params, self.base_paths = game1.graph, game1.params, game1.paths
         self.edges = [tuple(edge) for edge in edges]
-        added = added_paths(self.graph, self.base_paths, self.edges)
-        self.paths = [*self.base_paths, *chain.from_iterable(added)]
-        n_base, n_candidates = len(self.base_paths), len(added)
-        base_keys = [_canonical_order(path.nodes) for path in self.base_paths]
-        slots = np.array(
-            [bisect_left(base_keys, _canonical_order(path.nodes)) + i for new in added for i, path in enumerate(new)],
-            dtype=np.intp,
-        )
-        counts = np.array([len(new) for new in added], dtype=np.intp)
+        added = join_added_paths(self.graph, self.base_paths, self.edges)
+        n_base, n_new, n_edges = len(self.base_paths), len(added.steps), len(self.graph.edges)
+        # the base table pads with E, which is the candidate edge's id here
+        base_positions, base_values = game1.columns._steps
+        width = max(base_positions.shape[1], added.steps.shape[1])
+        positions = np.full((n_base + n_new, width), n_edges + 1, dtype=np.intp)
+        positions[:n_base, : base_positions.shape[1]] = np.where(base_positions < n_edges, base_positions, n_edges + 1)
+        positions[n_base:, : added.steps.shape[1]] = added.steps
+        values = np.zeros((n_base + n_new, width))
+        values[:n_base, : base_values.shape[1]] = base_values
+        values[n_base:, : added.values.shape[1]] = added.values
+        self.columns = PathColumns.from_steps(n_edges + 1, positions, values)
+
+        n_candidates, counts = len(self.edges), added.counts
         self.lengths = n_base + counts
         width = int(self.lengths.max(initial=n_base))
+        slots = added.base_rank + np.arange(n_new) - np.repeat(np.cumsum(counts) - counts, counts)
         self.new_masks = np.zeros((n_candidates, width), dtype=bool)
         self.new_masks[np.repeat(np.arange(n_candidates), counts), slots] = True
-        self.index = np.full((n_candidates, width), len(self.paths), dtype=np.intp)
-        self.index[self.new_masks] = np.arange(n_base, len(self.paths))
+        self.index = np.full((n_candidates, width), n_base + n_new, dtype=np.intp)
+        self.index[self.new_masks] = np.arange(n_base, n_base + n_new)
         base_slots = (np.arange(width) < self.lengths[:, None]) & ~self.new_masks
         self.index[base_slots] = np.tile(np.arange(n_base), n_candidates)
         self._rows = {}
@@ -186,11 +193,6 @@ class _Augmentation:
     def actions(self) -> tuple[tuple[int, ...], ...]:
         """The defender actions of every augmented game."""
         return defender_actions(self.stand_in(False), self.params)
-
-    @cached_property
-    def columns(self) -> PathColumns:
-        """The reward-kernel columns of the whole path table."""
-        return PathColumns(self.stand_in(False), self.paths)
 
     def game(self, k, pins=frozenset()) -> "_AugmentedGame":
         """Candidate k's augmented game with honeypots pinned at the (u, v)

@@ -123,6 +123,20 @@ def path_columns(graph, paths):
     return incidence, weights, totals, positions, values
 
 
+def allocation_rows_loop(graph, actions, pinned=()):
+    """``allocation_rows`` one allocation at a time: each allocation's edge
+    indicators set edge by edge, then the in-graph pins, and the distinct
+    locations deployed."""
+    pins = {tuple(p) for p in pinned}
+    pin_ids = [graph.edge_index[p] for p in pins if p in graph.edge_index]
+    rows = np.zeros((len(actions), len(graph.edges)))
+    for i, action in enumerate(actions):
+        for eid in action:
+            rows[i, eid] = 1.0
+    rows[:, pin_ids] = 1.0
+    return rows, rows.sum(axis=1) + (len(pins) - len(pin_ids))
+
+
 def pad_strategy(x1, game1, game2) -> np.ndarray:
     """Lift a game-1 defender strategy into game 2's action ordering.
 

@@ -26,7 +26,7 @@ from decoygraph.graph import (
     graph_from_parts,
 )
 from decoygraph import fixtures
-from oracles import literal_reward, pad_strategy, path_columns
+from oracles import allocation_rows_loop, literal_reward, pad_strategy, path_columns
 from test_graph import role_digraphs
 
 
@@ -246,6 +246,25 @@ def test_payoff_and_hit_kernels_match_literal_definitions(case):
         terminate = replace(params, terminate_on_capture=True)
         assert np.array_equal(payoff_matrix(graph, terminate, actions, paths, pinned),
                               literal_matrix(graph, terminate, actions, paths, pinned))
+
+
+@given(role_digraphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_allocation_rows_match_per_action_loop(graph, data):
+    # the one scatter sets the same rows and counts, bit for bit, as setting
+    # each allocation's edges one at a time, with pins on the graph, off it
+    # (a reversed edge or an unknown node) and repeated
+    budget = data.draw(st.integers(min_value=0, max_value=min(3, len(graph.edges))))
+    actions = defender_actions(graph, GameParams(budget=budget))
+    off_graph = [(v, u) for u, v in graph.edges if (v, u) not in graph.edge_index] + [(0, max(graph.node_ids) + 1)]
+    location = st.sampled_from(graph.edges) | st.sampled_from(off_graph)
+    on, off = data.draw(st.sampled_from(graph.edges)), data.draw(st.sampled_from(off_graph))
+    pins = data.draw(st.permutations([on, off, on, *data.draw(st.lists(location, max_size=2))]))
+    for pinned in ((), pins, [list(p) for p in pins]):
+        rows, deployed = allocation_rows(graph, actions, pinned)
+        expected_rows, expected_deployed = allocation_rows_loop(graph, actions, pinned)
+        assert rows.tobytes() == expected_rows.tobytes()
+        assert deployed.tobytes() == expected_deployed.tobytes()
 
 
 def test_pinned_kernel_exact_on_fixtures(line3, tree7, net20):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from decoygraph.graph import (
     generate_zero_day_candidates,
     graph_from_parts,
     graph_to_document,
+    join_added_paths,
     load_graph,
 )
 from oracles import breadth_first_paths, brute_force_paths, reachable_closure
@@ -272,13 +274,15 @@ def _new_paths(g, base, edge):
     return tuple(path for path in enumerate_attack_paths(augment(g, edge)) if path not in known)
 
 
-@given(role_digraphs(), st.integers(min_value=1, max_value=40))
+@given(role_digraphs(), st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=8))
 @settings(max_examples=80, deadline=None)
-def test_augmented_paths_equal_full_enumeration(g, limit):
+def test_augmented_paths_equal_full_enumeration(g, limit, chunk):
     base = enumerate_attack_paths(g)
     non_edges = [(u, v) for u in g.node_ids for v in g.node_ids if u != v and (u, v) not in g.edge_index]
-    assert added_paths(g, base, non_edges) == [_new_paths(g, base, e) for e in non_edges]
     with pytest.MonkeyPatch.context() as mp:
+        # prefix-suffix pairs are tested a few at a time, so chunks split candidates
+        mp.setattr(graph_module, "PAIR_CHUNK", chunk)
+        assert added_paths(g, base, non_edges) == [_new_paths(g, base, e) for e in non_edges]
         mp.setattr(graph_module, "DEFAULT_PATH_LIMIT", limit)
         for edge in non_edges:
             limited = _paths_or_limit(lambda: _new_paths(g, base, edge))
@@ -331,3 +335,49 @@ def test_augmented_paths_through_cycles_and_inner_roles():
         added_paths(g, base, [(1, 3)])
     with pytest.raises(GraphError, match="already present"):
         added_paths(g, base, [(0, 1)])
+
+
+def test_added_paths_with_long_walks_and_many_nodes():
+    # two 35-node chains with cross edges: new paths of up to 70 nodes need
+    # more than one packed sort key, and 70 nodes more than one mask word
+    nodes = [NodeRecord(i, float(i % 7), "entry" if i in (0, 35) else "target" if i in (34, 69) else "intermediate")
+             for i in range(70)]
+    chains = [(i, i + 1) for i in range(34)] + [(i, i + 1) for i in range(35, 69)]
+    g = graph_from_parts(nodes, chains + [(10, 47), (55, 20)])
+    base = enumerate_attack_paths(g)
+    edges = [(u, v) for u in (1, 12, 33, 40, 60, 68) for v in (2, 21, 30, 36, 50, 66) if (u, v) not in g.edge_index]
+    added = added_paths(g, base, edges)
+    assert added == [_new_paths(g, base, e) for e in edges]
+    assert max(len(path.nodes) for new in added for path in new) > 63
+    # each new path's place in its augmented graph's canonical order
+    joined = join_added_paths(g, base, edges)
+    firsts = np.cumsum(joined.counts) - joined.counts
+    for k, edge in enumerate(edges):
+        places = joined.base_rank[firsts[k] : firsts[k] + joined.counts[k]] + np.arange(joined.counts[k])
+        full = enumerate_attack_paths(augment(g, edge))
+        assert places.tolist() == [i for i, path in enumerate(full) if len(g.edges) in path.edges]
+
+@pytest.mark.parametrize("invalid", [(0, 1), (1, 1), (1, 9)])
+def test_added_path_errors_follow_edge_order(invalid):
+    # edges are checked in list order, as adding them one at a time would:
+    # an edge past the path limit before an invalid edge raises the limit
+    # error, and the invalid edge before it raises GraphError
+    nodes = [
+        NodeRecord(0, 0.0, "entry"),
+        NodeRecord(1, 1.0, "intermediate"),
+        NodeRecord(2, 2.0, "target"),
+        NodeRecord(3, 0.0, "entry"),
+        NodeRecord(4, 1.0, "intermediate"),
+        NodeRecord(5, 3.0, "target"),
+    ]
+    g = graph_from_parts(nodes, [(0, 1), (1, 2), (2, 4), (4, 1), (4, 3), (3, 5), (0, 3)])
+    base = enumerate_attack_paths(g)
+    message = {(0, 1): "already present", (1, 1): "self-loop", (1, 9): "unknown node 9"}[invalid]
+    with pytest.MonkeyPatch.context() as mp:
+        # (2, 0) adds no path, so only (1, 3) can take the count past the base's
+        mp.setattr(graph_module, "DEFAULT_PATH_LIMIT", len(base))
+        assert added_paths(g, base, [(2, 0)]) == [()]
+        with pytest.raises(EnumerationLimitError, match=f"exceeds limit {len(base)}"):
+            added_paths(g, base, [(2, 0), (1, 3), invalid])
+        with pytest.raises(GraphError, match=message):
+            added_paths(g, base, [(2, 0), invalid, (1, 3)])

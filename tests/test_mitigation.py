@@ -544,10 +544,9 @@ def test_mitigation_and_nature_match_literal_oracles(case):
 
 @pytest.mark.parametrize("criterion", ["pessimistic", "optimistic"])
 def test_paths_enumerated_once_per_candidate(tree7, monkeypatch, criterion):
-    # each candidate's new paths come from one incremental call for the
-    # whole report, never from a full enumeration of an augmented graph; the
-    # only full enumeration is the one check per call that the base paths
-    # are complete
+    # each candidate's new paths come from one join for the whole report,
+    # never from a full enumeration of an augmented graph; the only full
+    # enumeration is the one check per call that the base paths are complete
     graph, params, game, sol = tree7
     rows = scan_candidates(graph, params, solution=sol)
     plan = alpha_mitigation(rows, k=1)
@@ -563,7 +562,7 @@ def test_paths_enumerated_once_per_candidate(tree7, monkeypatch, criterion):
     for module in (decoygraph.graph, decoygraph.game, decoygraph.zeroday, decoygraph.mitigation, decoygraph.cli):
         if hasattr(module, "enumerate_attack_paths"):
             monkeypatch.setattr(module, "enumerate_attack_paths", counted(full, module.enumerate_attack_paths))
-    monkeypatch.setattr(zeroday, "added_paths", counted(incremental, zeroday.added_paths))
+    monkeypatch.setattr(zeroday, "join_added_paths", counted(incremental, zeroday.join_added_paths))
     first = evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion=criterion)
     assert full == [(game.graph,)]
     assert [[tuple(e) for e in args[2]] for args in incremental] == [[r.edge for r in rows]]
@@ -712,3 +711,42 @@ def test_terminate_on_capture_outputs_match_golden_digest(request, name):
     graph, params, _, _ = request.getfixturevalue(name)
     digests = terminate_digests(name, graph, params)
     assert digests == {k: v for k, v in TERMINATE_DIGESTS.items() if k.split()[0] == name}
+
+
+@pytest.mark.parametrize("fixture", ["tree7", "net20"])
+def test_sparse_and_huge_node_ids_change_nothing(fixture, request):
+    # node ids are read only through their order: relabelled in the same
+    # order, with gaps and ids of 2**63 and above, every scan record, alpha
+    # outcome and nature game is the same with its edges mapped. An array
+    # indexed by node id would fail on these ids or put them out of place
+    graph, params, game, sol = request.getfixturevalue(fixture)
+    ids = sorted(graph.node_ids)
+    half = len(ids) // 2
+    relabel = dict(zip(ids, [7 * k + 3 for k in range(half)] + [2**63 + 11 * k for k in range(len(ids) - half)]))
+    graph2 = graph_from_parts([replace(node, id=relabel[node.id]) for node in graph.nodes],
+                              [(relabel[u], relabel[v]) for u, v in graph.edges])
+    game2 = build_matrix(graph2, params)
+    assert np.array_equal(game2.matrix, game.matrix)
+    sol2 = solve_zero_sum(game2.matrix)
+
+    def mapped(edge):
+        return relabel[edge[0]], relabel[edge[1]]
+
+    for criterion in CRITERIA:
+        for mode in PESSIMISTIC_MODES:
+            report, report2 = (
+                scan_candidates(g, params, criterion=criterion, pessimistic_mode=mode, solution=s)
+                for g, s in ((graph, sol), (graph2, sol2))
+            )
+            # replace() reads every field, so deferred optimistic values are solved
+            assert [replace(r, edge=mapped(r.edge)) for r in report] == [replace(r) for r in report2]
+        plan, plan2 = alpha_mitigation(report, k=1), alpha_mitigation(report2, k=1)
+        assert plan2.pinned_edges == tuple(mapped(edge) for edge in plan.pinned_edges)
+        outcomes = evaluate_mitigation(plan, game, sol.defender_strategy, report, criterion=criterion).outcomes
+        outcomes2 = evaluate_mitigation(plan2, game2, sol2.defender_strategy, report2, criterion=criterion).outcomes
+        assert [replace(o, edge=mapped(o.edge)) for o in outcomes] == outcomes2
+        nature = nature_game(game, sol.defender_strategy, report, criterion=criterion)
+        nature2 = nature_game(game2, sol2.defender_strategy, report2, criterion=criterion)
+        assert nature2.locations == tuple(mapped(edge) for edge in nature.locations)
+        assert np.array_equal(nature2.matrix, nature.matrix)
+        assert np.array_equal(nature2.solution.defender_strategy, nature.solution.defender_strategy)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoygraph import mitigation, zeroday
-from decoygraph.game import GameParams, build_matrix, pure_strategy
+from decoygraph.game import GameParams, PathColumns, build_matrix, pure_strategy
 from decoygraph.graph import (
     NodeRecord,
     augment,
@@ -400,10 +400,10 @@ def _outcome(compute):
 @given(scan_games())
 @settings(max_examples=90, deadline=None)
 def test_scan_fast_path_matches_full_rebuild(case):
-    # the scan's shared stand-in graph, path table, per-candidate columns
-    # taken from it and shared no-path game against augment -> build_matrix
-    # for every candidate, bit for bit; where the rebuilt game's solve fails,
-    # the scan must fail the same way
+    # the scan's shared stand-in graph, path table rows, per-candidate
+    # columns taken from it and shared no-path game against augment ->
+    # build_matrix for every candidate, bit for bit; where the rebuilt game's
+    # solve fails, the scan must fail the same way
     graph, params = case
     game1 = build_matrix(graph, params)
     sol = _outcome(lambda: solve_zero_sum(game1.matrix))
@@ -415,11 +415,20 @@ def test_scan_fast_path_matches_full_rebuild(case):
         return
     shared = zeroday._Augmentation(game1, [c.edge for c in work])
     games2 = [build_matrix(augment(graph, c.edge), params) for c in work]
+    pad = len(graph.edges) + 1
     for k, game2 in enumerate(games2):
         index = shared.index[k, : shared.lengths[k]]
-        assert [shared.paths[j] for j in index] == list(enumerate_attack_paths(augment(graph, work[k].edge)))
-        assert [len(graph.edges) in shared.paths[j].edges for j in index] == shared.new_masks[k].tolist()[: len(index)]
-        assert not shared.new_masks[k, len(index):].any() and (shared.index[k, len(index):] == len(shared.paths)).all()
+        row = shared.columns.take(index)
+        full = PathColumns(game2.graph, enumerate_attack_paths(augment(graph, work[k].edge)))
+        (positions, values), (full_positions, full_values) = row._steps, full._steps
+        width = full_positions.shape[1]
+        assert np.array_equal(positions[:, :width], full_positions) and (positions[:, width:] == pad).all()
+        assert np.array_equal(values[:, :width], full_values) and not values[:, width:].any()
+        for name in ("incidence", "weights", "totals"):
+            assert np.array_equal(getattr(row, name), getattr(full, name))
+        assert [pad - 1 in path.edges for path in game2.paths] == shared.new_masks[k].tolist()[: len(index)]
+        assert not shared.new_masks[k, len(index):].any()
+        assert (shared.index[k, len(index):] == len(shared.columns.totals)).all()
         matrix = shared.game(k).matrix
         assert np.array_equal(matrix, game2.matrix)
         if params.terminate_on_capture:
