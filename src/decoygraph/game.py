@@ -125,17 +125,17 @@ class PathColumns:
     is then the value of the node that edge enters, and ``totals[j]`` sums
     path j's non-entry node values in path order, from 0.0, as a per-node
     loop would. ``_steps`` holds each path's edge ids in path order, padded
-    with the id E that no edge has, and the values of the nodes they enter,
-    padded with 0.0; the other arrays are scattered from it. Scoring several
-    allocation sets against one path set reuses these columns, which keep
-    neither the graph nor the paths.
+    with -1, which indexes the one spare edge row past the E real ones, and
+    the values of the nodes they enter, padded with 0.0; the other arrays
+    are scattered from it. Scoring several allocation sets against one path
+    set reuses these columns, which keep neither the graph nor the paths.
     """
 
     def __init__(self, graph: AttackGraph, paths):
         hops = np.fromiter((path.hops for path in paths), dtype=np.intp, count=len(paths))
         width = int(hops.max(initial=1))
         walked = np.arange(width) < hops[:, None]
-        positions = np.full((len(paths), width), len(graph.edges), dtype=np.intp)
+        positions = np.full((len(paths), width), -1, dtype=np.intp)
         positions[walked] = list(chain.from_iterable(path.edges for path in paths))
         values = np.zeros((len(paths), width))
         node_values = graph.values
@@ -145,8 +145,8 @@ class PathColumns:
     @classmethod
     def from_steps(cls, n_edges: int, positions, values) -> "PathColumns":
         """The columns of the paths whose padded steps are ``positions``
-        (edge ids below ``n_edges``, padded with ``n_edges``) and ``values``
-        (padded with 0.0), laid out as ``_steps``."""
+        (edge ids below ``n_edges``, padded with -1) and ``values`` (padded
+        with 0.0), laid out as ``_steps``."""
         columns = cls.__new__(cls)
         columns._fill(n_edges, positions, values)
         return columns

@@ -263,11 +263,11 @@ class AddedPaths:
     the edges before it, and each edge's rows are in the canonical order.
 
     ``counts[k]`` is the number of paths edge k adds. ``nodes[i]`` holds
-    path i's nodes as positions in ``sorted(graph.node_ids)``, padded with
-    -1. ``steps[i]`` holds its edge ids, where the added edge is E =
-    ``len(graph.edges)``, padded with E + 1, and ``values[i]`` the values of
-    the nodes those edges enter, padded with 0.0. ``base_rank[i]`` is the
-    number of base paths before path i in the canonical order.
+    path i's nodes as positions in ``sorted(graph.node_ids)``, and
+    ``steps[i]`` its edge ids, where the added edge is E =
+    ``len(graph.edges)``; both are padded with -1. ``values[i]`` holds the
+    values of the nodes those edges enter, padded with 0.0. ``base_rank[i]``
+    is the number of base paths before path i in the canonical order.
     """
 
     counts: np.ndarray
@@ -275,22 +275,6 @@ class AddedPaths:
     steps: np.ndarray
     values: np.ndarray
     base_rank: np.ndarray
-
-
-def added_paths(graph: AttackGraph, base_paths, edges) -> list[tuple[AttackPath, ...]]:
-    """For each edge (u, v) in ``edges``, the attack paths that
-    ``augment(graph, (u, v))`` has and ``graph`` lacks, in the canonical
-    order: the paths of :func:`join_added_paths`, with its checks and
-    errors."""
-    added = join_added_paths(graph, base_paths, edges)
-    ids = sorted(graph.node_ids)
-    lengths = (added.nodes >= 0).sum(axis=1).tolist()
-    paths = [
-        AttackPath(nodes=tuple(ids[i] for i in nodes[:length]), edges=tuple(steps[: length - 1]))
-        for nodes, steps, length in zip(added.nodes.tolist(), added.steps.tolist(), lengths)
-    ]
-    ends = np.cumsum(added.counts).tolist()
-    return [tuple(paths[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 def join_added_paths(graph: AttackGraph, base_paths, edges) -> AddedPaths:
@@ -302,13 +286,15 @@ def join_added_paths(graph: AttackGraph, base_paths, edges) -> AddedPaths:
     A path of an augmented graph either avoids the new edge (u, v), and is
     then a base path, or takes it once: a simple entry-to-u prefix, then
     (u, v), then a simple v-to-target suffix that shares no node with the
-    prefix. The prefix walks of each distinct tail and the suffix walks of
-    each distinct head are padded arrays with a node-membership bit mask per
-    walk. Every candidate's prefix-suffix pairs are formed by index
-    arithmetic, ``PAIR_CHUNK`` at a time, and a pair is kept when the AND of
-    its two masks is empty. One gather joins the kept pairs, and one sort of
-    packed keys puts them in the canonical order and ranks them among the
-    base paths.
+    prefix. One search forward from each entry and one backward from each
+    target record every simple walk; the forward walks that end at u are
+    u's prefixes, those that end at a target are the base paths, and the
+    backward walks that end at v are v's suffixes. The walks are padded
+    arrays with a node-membership bit mask per walk. Every candidate's
+    prefix-suffix pairs are formed by index arithmetic, ``PAIR_CHUNK`` at a
+    time, and a pair is kept when the AND of its two masks is empty. One
+    gather joins the kept pairs, and one sort of packed keys puts them in
+    the canonical order and ranks them among the base paths.
 
     Edges are checked in list order, as one at a time would be: an invalid
     edge raises :class:`GraphError`, and an edge whose augmented graph has
@@ -316,32 +302,35 @@ def join_added_paths(graph: AttackGraph, base_paths, edges) -> AddedPaths:
     :class:`EnumerationLimitError`, exactly when full enumeration of that
     graph would.
     """
-    if tuple(base_paths) != enumerate_attack_paths(graph):
+    order = sorted(graph.node_ids)
+    position = {node: i for i, node in enumerate(order)}
+    n_edges, limit = len(graph.edges), DEFAULT_PATH_LIMIT
+
+    def walks(adjacency, roots):
+        dense = [tuple((position[nxt], eid) for nxt, eid in adjacency[node]) for node in order]
+        return [walk for root in roots for walk in _simple_walks(dense, position[root], range(len(order)))]
+
+    forward, backward = walks(graph.successors, graph.entry_ids), walks(graph.predecessors, graph.target_ids)
+    targets = {position[node] for node in graph.target_ids}
+    base = sorted((walk for walk in forward if walk[0][-1] in targets), key=lambda walk: _canonical_order(walk[0]))
+    if len(base) > limit:
+        raise EnumerationLimitError(f"path count exceeds limit {limit}")
+    if [(tuple(map(position.get, path.nodes)), path.edges) for path in base_paths] != base:
         raise GraphError("base paths must be every attack path of the graph; a game built with entries= has fewer")
     # the edges before an invalid one are joined: one may exceed the path limit
     edges = list(edges)
     n_valid, invalid = _first_invalid_edge(graph, edges)
     edges = edges[:n_valid]
-    order = sorted(graph.node_ids)
-    position = {node: i for i, node in enumerate(order)}
-    n_edges, limit = len(graph.edges), DEFAULT_PATH_LIMIT
-
-    def dense(adjacency):
-        return [tuple((position[nxt], eid) for nxt, eid in adjacency[node]) for node in order]
 
     tails, heads = np.array([(position[u], position[v]) for u, v in edges], dtype=np.intp).reshape(-1, 2).T
     # step j of a walk is the edge that leaves its node j: prefixes run
     # entry -> u and leave u by the new edge E, suffixes run v -> target and
-    # leave the target by the pad E + 1
-    pre_walks, prefixes = _walk_table(
-        dense(graph.predecessors), tails, {position[node] for node in graph.entry_ids},
-        lambda nodes, eids: (nodes[::-1], eids[::-1] + (n_edges,)), n_edges + 1,
-    )
+    # leave the target by the pad -1
+    pre_walks, prefixes = _walk_table(forward, len(order), lambda nodes, eids: (nodes, eids + (n_edges,)))
     # suffix rows get the longest prefix's width to spare, so a joined row
     # can read past its suffix's end into pads
     suf_walks, suffixes = _walk_table(
-        dense(graph.successors), heads, {position[node] for node in graph.target_ids},
-        lambda nodes, eids: (nodes, eids + (n_edges + 1,)), n_edges + 1, spare=prefixes[0].shape[1],
+        backward, len(order), lambda nodes, eids: (nodes[::-1], eids[::-1] + (-1,)), spare=prefixes[0].shape[1],
     )
     pre_masks, suf_masks = _node_masks(prefixes[0], len(order)), _node_masks(suffixes[0], len(order))
 
@@ -360,42 +349,36 @@ def join_added_paths(graph: AttackGraph, base_paths, edges) -> AddedPaths:
         apart = ~(np.take(pre_masks, pairs[1], axis=0) & np.take(suf_masks, pairs[2], axis=0)).any(axis=1)
         kept.append(pairs[:, apart])
         counts += np.bincount(kept[-1][0], minlength=len(edges))
-        if len(base_paths) + int(counts.max()) > limit:
+        if len(base) + int(counts.max()) > limit:
             raise EnumerationLimitError(f"path count exceeds limit {limit}")
     if invalid is not None:
         raise invalid
     candidate, pre, suf = np.hstack(kept)
 
     nodes, steps = _joined(prefixes, pre, suffixes, suf)
-    base_lengths = [len(path.nodes) for path in base_paths]
-    base_nodes = _padded(base_lengths, map(position.__getitem__, chain.from_iterable(p.nodes for p in base_paths)), -1)
-    ranks, perm = _canonical_ranks(
-        base_nodes, base_nodes[np.arange(len(base_nodes)), np.array(base_lengths) - 1],
-        nodes, suffixes[0][suf, suffixes[2][suf] - 1], candidate, len(order),
-    )
+    base_nodes = _padded([len(nodes) for nodes, _ in base], chain.from_iterable(nodes for nodes, _ in base), -1)
+    ranks, perm = _canonical_ranks(base_nodes, nodes, candidate, len(order))
     # a suffix's last step is the pad, so the joined steps have one column to spare
     nodes, steps = nodes[perm], steps[perm, :-1]
     node_values = np.array([graph.values[node] for node in order] + [0.0])
     return AddedPaths(counts=counts, nodes=nodes, steps=steps, values=node_values[nodes[:, 1:]], base_rank=ranks)
 
 
-def _walk_table(neighbours, starts, ends, orient, pad, spare=0):
-    """The simple walks from each distinct node of ``starts`` to a node of
-    ``ends``, put in path order by ``orient(nodes, edges)``, which returns
-    as many steps as nodes. Returns a (2, nodes) array whose column
-    ``start`` is the (first walk, walk count) of that start, and the walks
-    as a table: their nodes padded with -1, their steps padded with ``pad``,
+def _walk_table(walks, n_nodes, orient, spare=0):
+    """The walks of :func:`_simple_walks`, as (node sequence, edge
+    sequence) over node positions below ``n_nodes``, grouped by the node
+    they end at and put in path order by ``orient(nodes, edges)``, which
+    returns as many steps as nodes. Returns a (2, ``n_nodes``) array whose
+    column ``node`` is the (first walk, walk count) of the walks that end
+    there, and the walks as a table: their nodes and steps padded with -1,
     each ``spare`` columns wider than the longest walk, and their lengths.
     """
-    first, count, walks = [0] * len(neighbours), [0] * len(neighbours), []
-    for start in dict.fromkeys(starts.tolist()):
-        first[start] = len(walks)
-        walks.extend(orient(nodes, eids) for nodes, eids in _simple_walks(neighbours, start, ends))
-        count[start] = len(walks) - first[start]
+    count = np.bincount([nodes[-1] for nodes, _ in walks], minlength=n_nodes)
+    walks = [orient(nodes, eids) for nodes, eids in sorted(walks, key=lambda walk: walk[0][-1])]
     lengths = [len(nodes) for nodes, _ in walks]
     nodes = _padded(lengths, chain.from_iterable(nodes for nodes, _ in walks), -1, spare)
-    steps = _padded(lengths, chain.from_iterable(eids for _, eids in walks), pad, spare)
-    return np.array([first, count], dtype=np.intp), (nodes, steps, np.array(lengths, dtype=np.intp))
+    steps = _padded(lengths, chain.from_iterable(eids for _, eids in walks), -1, spare)
+    return np.array([np.cumsum(count) - count, count], dtype=np.intp), (nodes, steps, np.array(lengths, dtype=np.intp))
 
 
 def _padded(lengths, entries, pad, spare=0):
@@ -422,9 +405,9 @@ def _node_masks(nodes, n_nodes):
 def _joined(left, left_rows, right, right_rows):
     """The (nodes, steps) rows that join walk ``left_rows[i]`` of the table
     ``left`` and walk ``right_rows[i]`` of ``right`` (tables of
-    :func:`_walk_table`), padded with the pads of ``right``: one gather
-    from both tables per array. A joined row reads on past its right walk's
-    end into that walk's pads, which ``right``'s spare columns hold."""
+    :func:`_walk_table`), padded with -1: one gather from both tables per
+    array. A joined row reads on past its right walk's end into that walk's
+    pads, which ``right``'s spare columns hold."""
     (left_nodes, left_steps, left_len), (right_nodes, right_steps, right_len) = left, right
     split = left_len[left_rows][:, None]
     # a joined row has at least one node from each walk
@@ -440,11 +423,11 @@ def _joined(left, left_rows, right, right_rows):
     )
 
 
-def _canonical_ranks(base_nodes, base_targets, nodes, targets, candidate, n_nodes):
-    """Sort the new paths, given as -1-padded node-position rows ``nodes``
-    and their ``targets``, by ``candidate`` and then the canonical order,
-    and count the base paths, given the same way, before each: returns
-    (those counts, the sorting permutation).
+def _canonical_ranks(base_nodes, nodes, candidate, n_nodes):
+    """Sort the new paths, given as -1-padded node-position rows ``nodes``,
+    by ``candidate`` and then the canonical order, and count the base
+    paths, given the same way, before each: returns (those counts, the
+    sorting permutation).
 
     Positions follow node id order, and -1 sorts before every node, so the
     padded rows of (entry, target, the other nodes) sort as the canonical
@@ -454,11 +437,11 @@ def _canonical_ranks(base_nodes, base_targets, nodes, targets, candidate, n_node
     each new path among the base paths.
     """
     n_base = len(base_nodes)
-    rows = np.full((n_base + len(nodes), 1 + max(base_nodes.shape[1], nodes.shape[1])), -1, dtype=np.intp)
-    rows[:, 0] = np.concatenate([base_nodes[:, 0], nodes[:, 0]])
-    rows[:, 1] = np.concatenate([base_targets, targets])
-    rows[:n_base, 2 : base_nodes.shape[1] + 1] = base_nodes[:, 1:]
-    rows[n_base:, 2 : nodes.shape[1] + 1] = nodes[:, 1:]
+    rows = np.full((n_base + len(nodes), max(base_nodes.shape[1], nodes.shape[1])), -1, dtype=np.intp)
+    rows[:n_base, : base_nodes.shape[1]] = base_nodes
+    rows[n_base:, : nodes.shape[1]] = nodes
+    targets = rows[np.arange(len(rows)), (rows >= 0).sum(axis=1) - 1]
+    rows = np.column_stack([rows[:, 0], targets, rows[:, 1:]])
     order = np.lexsort(_packed(rows + 1, n_nodes + 1)[::-1])
     is_base = order < n_base
     before = np.cumsum(is_base) - is_base
@@ -480,13 +463,14 @@ def _packed(rows, n_values):
     ]
 
 
-def _simple_walks(neighbours, start: int, ends: set[int], found=None, *, max_hops=None, limit=None):
+def _simple_walks(neighbours, start: int, ends: set[int] | range, found=None, *, max_hops=None, limit=None):
     """Every simple walk from ``start`` along ``neighbours`` (node -> pairs
     of (next node, edge id)) that stops at a node of ``ends``, as (node
     sequence, edge sequence) in walk order, appended to ``found`` (a new
     list by default), which is returned. The one depth-first search of the
     package: attack paths are its forward walks from entries to targets,
-    and :func:`join_added_paths` joins its backward and forward walks.
+    and :func:`join_added_paths` joins its forward walks from entries to
+    its backward walks from targets.
 
     ``max_hops`` bounds a walk's edge count. With ``limit``, a walk that
     would make ``found`` longer than ``limit`` raises

@@ -133,22 +133,22 @@ class _Augmentation:
     which gets id E. So the defender's E+1-edge allocations are the same for
     every candidate, and all candidates' paths share one table: ``columns``
     holds its reward-kernel columns over those E+1 edges, for the base
-    paths, then each candidate's new paths. The table is built from arrays
-    only: the base rows of ``game1.columns`` and the new rows of one
-    :func:`~decoygraph.graph.join_added_paths`. Row k of the padded
-    (candidates, longest) array ``index`` lists the positions of candidate
-    k's paths, in canonical order, in that table; its first ``lengths[k]``
-    entries are real and the rest hold the pad, the table's path count.
-    ``new_masks`` has the same shape and is true where a real entry is one
-    of the candidate's new paths. A new path's place in its row is its rank
-    among the base paths plus the number of new paths before it: canonical
-    keys are unique, so this is the place a stable sort of all its paths
-    gives it. The allocation rows under a set of pins differ between
-    candidates only in whether the candidate's own edge is pinned: edge E
-    is covered exactly then, and every other pin is a base edge or an
-    off-graph location that only costs ``honeypot_cost``. So one
-    candidate's graph per "own edge pinned" flag stands in for all
-    candidates with that flag.
+    paths, then each candidate's new paths. The table stacks the steps of
+    ``game1.columns`` and of one
+    :func:`~decoygraph.graph.join_added_paths`, which pad with -1 alike.
+    Row k of the padded (candidates, longest) array ``index`` lists the
+    positions of candidate k's paths, in canonical order, in that table;
+    its first ``lengths[k]`` entries are real and the rest hold the pad,
+    the table's path count. A real entry is one of the candidate's new
+    paths exactly when it is at least the base path count. A new path's
+    place in its row is its rank among the base paths plus the number of
+    new paths before it: canonical keys are unique, so this is the place a
+    stable sort of all its paths gives it. The allocation rows under a set
+    of pins differ between candidates only in whether the candidate's own
+    edge is pinned: edge E is covered exactly then, and every other pin is
+    a base edge or an off-graph location that only costs
+    ``honeypot_cost``. So one candidate's graph per "own edge pinned" flag
+    stands in for all candidates with that flag.
     A candidate that adds no path has exactly the base paths, so all such
     candidates with the same flag share one augmented game.
     """
@@ -157,27 +157,24 @@ class _Augmentation:
         self.graph, self.params, self.base_paths = game1.graph, game1.params, game1.paths
         self.edges = [tuple(edge) for edge in edges]
         added = join_added_paths(self.graph, self.base_paths, self.edges)
-        n_base, n_new, n_edges = len(self.base_paths), len(added.steps), len(self.graph.edges)
-        # the base table pads with E, which is the candidate edge's id here
+        n_base, n_new = len(self.base_paths), len(added.steps)
         base_positions, base_values = game1.columns._steps
         width = max(base_positions.shape[1], added.steps.shape[1])
-        positions = np.full((n_base + n_new, width), n_edges + 1, dtype=np.intp)
-        positions[:n_base, : base_positions.shape[1]] = np.where(base_positions < n_edges, base_positions, n_edges + 1)
+        positions = np.full((n_base + n_new, width), -1, dtype=np.intp)
+        positions[:n_base, : base_positions.shape[1]] = base_positions
         positions[n_base:, : added.steps.shape[1]] = added.steps
         values = np.zeros((n_base + n_new, width))
         values[:n_base, : base_values.shape[1]] = base_values
         values[n_base:, : added.values.shape[1]] = added.values
-        self.columns = PathColumns.from_steps(n_edges + 1, positions, values)
+        self.columns = PathColumns.from_steps(len(self.graph.edges) + 1, positions, values)
 
-        n_candidates, counts = len(self.edges), added.counts
+        n_candidates, counts, pad = len(self.edges), added.counts, n_base + n_new
         self.lengths = n_base + counts
         width = int(self.lengths.max(initial=n_base))
         slots = added.base_rank + np.arange(n_new) - np.repeat(np.cumsum(counts) - counts, counts)
-        self.new_masks = np.zeros((n_candidates, width), dtype=bool)
-        self.new_masks[np.repeat(np.arange(n_candidates), counts), slots] = True
-        self.index = np.full((n_candidates, width), n_base + n_new, dtype=np.intp)
-        self.index[self.new_masks] = np.arange(n_base, n_base + n_new)
-        base_slots = (np.arange(width) < self.lengths[:, None]) & ~self.new_masks
+        self.index = np.full((n_candidates, width), pad, dtype=np.intp)
+        self.index[np.repeat(np.arange(n_candidates), counts), slots] = np.arange(n_base, pad)
+        base_slots = (np.arange(width) < self.lengths[:, None]) & (self.index == pad)
         self.index[base_slots] = np.tile(np.arange(n_base), n_candidates)
         self._rows = {}
         self._no_path_games = {}
@@ -252,7 +249,7 @@ def _records(game1, x1, y1, work, *, criterion, pessimistic_mode) -> list[ZeroDa
     naive_mixed = float(-(x_arr @ game1.matrix @ np.asarray(y1))) if y1 is not None else None
     records = []
     for k, (edge, status) in enumerate(work):
-        new_mask = shared.new_masks[k, : shared.lengths[k]]
+        new_mask = shared.index[k, : shared.lengths[k]] >= len(game1.paths)
         new_path_count = int(shared.lengths[k]) - len(game1.paths)
         game2 = shared.game(k)
         column_rewards = -(xhat @ game2.matrix)

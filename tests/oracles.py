@@ -6,7 +6,9 @@ closed form, best responses and equilibrium gaps recomputed from a matrix,
 strategy padding by action lookup), or frozen as a verbatim copy of an
 earlier implementation (the simplex loop, the two-phase simplex and the
 zero-sum game path), and
-must stay independent of the library code paths it checks.
+must stay independent of the library code paths it checks. The one
+exception is ``added_paths``, a view of the library's path join as
+``AttackPath`` tuples for comparison with full enumeration.
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
+from decoygraph.graph import AttackPath, join_added_paths
 from decoygraph.lp import FEASIBILITY_TOL, GAP_TOL, SolverError, UnboundedError
 
 
@@ -100,6 +103,21 @@ def literal_reward(values, edge_pairs, params, action_edge_ids, path_nodes, pinn
     return total
 
 
+def added_paths(graph, base_paths, edges) -> list[tuple[AttackPath, ...]]:
+    """For each edge (u, v) in ``edges``, the attack paths that
+    ``augment(graph, (u, v))`` has and ``graph`` lacks, in the canonical
+    order: the paths of ``join_added_paths``, with its checks and errors."""
+    added = join_added_paths(graph, base_paths, edges)
+    ids = sorted(graph.node_ids)
+    lengths = (added.nodes >= 0).sum(axis=1).tolist()
+    paths = [
+        AttackPath(nodes=tuple(ids[i] for i in nodes[:length]), edges=tuple(steps[: length - 1]))
+        for nodes, steps, length in zip(added.nodes.tolist(), added.steps.tolist(), lengths)
+    ]
+    ends = np.cumsum(added.counts).tolist()
+    return [tuple(paths[start:end]) for start, end in zip([0, *ends], ends)]
+
+
 def path_columns(graph, paths):
     """``incidence``, ``weights``, ``totals`` and the padded ``_steps``
     arrays of ``PathColumns(graph, paths)``, stored one path edge at a time,
@@ -108,7 +126,7 @@ def path_columns(graph, paths):
     weights = np.zeros((len(graph.edges), len(paths)))
     totals = np.zeros(len(paths))
     width = max((path.hops for path in paths), default=1)
-    positions = np.full((len(paths), width), len(graph.edges))
+    positions = np.full((len(paths), width), -1)
     values = np.zeros((len(paths), width))
     for j, path in enumerate(paths):
         total_value = 0.0

@@ -2,16 +2,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoygraph import graph as graph_module
+from decoygraph.game import GameParams, build_matrix
 from decoygraph.graph import (
     EnumerationLimitError,
     GraphError,
     NodeRecord,
     _reachable,
-    added_paths,
     augment,
     enumerate_attack_paths,
     generate_zero_day_candidates,
@@ -20,7 +20,7 @@ from decoygraph.graph import (
     join_added_paths,
     load_graph,
 )
-from oracles import breadth_first_paths, brute_force_paths, reachable_closure
+from oracles import added_paths, breadth_first_paths, brute_force_paths, reachable_closure
 
 LINE3_DOC = {
     "nodes": [
@@ -275,6 +275,11 @@ def _new_paths(g, base, edge):
 
 
 @given(role_digraphs(), st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=8))
+# node 3 is unreachable, so its edges form no prefix-suffix pair, and the
+# 2 base paths alone are past the limit of 1
+@example(graph_from_parts([NodeRecord(0, 0.0, "entry"), NodeRecord(1, 1.0, "intermediate"),
+                           NodeRecord(2, 2.0, "target"), NodeRecord(3, 1.0, "intermediate")],
+                          [(0, 1), (1, 2), (0, 2)]), 1, 1)
 @settings(max_examples=80, deadline=None)
 def test_augmented_paths_equal_full_enumeration(g, limit, chunk):
     base = enumerate_attack_paths(g)
@@ -314,6 +319,27 @@ def test_walks_match_breadth_first_oracle(g, data):
             assert _reachable(neighbours, start) == reachable_closure(pairs, start)
 
 
+@given(role_digraphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_join_accepts_only_the_full_base_paths(g, data):
+    # the join's base paths come from its own search and must equal the
+    # given ones exactly: a subset, a shorter tuple or another order raises
+    base = enumerate_attack_paths(g)
+    non_edges = [(u, v) for u in g.node_ids for v in g.node_ids if u != v and (u, v) not in g.edge_index]
+    assert join_added_paths(g, base, non_edges).counts.shape == (len(non_edges),)
+    entries = data.draw(st.lists(st.sampled_from(g.entry_ids), min_size=1, unique=True))
+    restricted = build_matrix(g, GameParams(), entries=entries).paths
+    dropped = data.draw(st.integers(min_value=0, max_value=len(base) - 1))
+    wrong = [base[:dropped] + base[dropped + 1 :]]
+    if len(restricted) < len(base):
+        wrong.append(restricted)
+    if len(base) > 1:
+        wrong.append(base[::-1])
+    for paths in wrong:
+        with pytest.raises(GraphError, match="every attack path"):
+            join_added_paths(g, paths, non_edges)
+
+
 def test_augmented_paths_through_cycles_and_inner_roles():
     # entry 3 and target 2 sit inside longer paths, and 1 -> 2 -> 4 -> 1 is a cycle
     nodes = [
@@ -330,9 +356,15 @@ def test_augmented_paths_through_cycles_and_inner_roles():
     for edge, new in zip(edges, added_paths(g, base, edges)):
         assert new == _new_paths(g, base, edge)
         assert new or edge == (5, 0)
-    with pytest.MonkeyPatch.context() as mp, pytest.raises(EnumerationLimitError, match="exceeds limit 3"):
-        mp.setattr(graph_module, "DEFAULT_PATH_LIMIT", 3)
-        added_paths(g, base, [(1, 3)])
+    # (1, 3) adds one path, so the base paths fit a limit of len(base) and
+    # only that new path takes the count past it
+    (one,) = _new_paths(g, base, (1, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "DEFAULT_PATH_LIMIT", len(base))
+        with pytest.raises(EnumerationLimitError, match=f"exceeds limit {len(base)}"):
+            added_paths(g, base, [(1, 3)])
+        mp.setattr(graph_module, "DEFAULT_PATH_LIMIT", len(base) + 1)
+        assert added_paths(g, base, [(1, 3)]) == [(one,)]
     with pytest.raises(GraphError, match="already present"):
         added_paths(g, base, [(0, 1)])
 

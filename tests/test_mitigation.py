@@ -545,12 +545,12 @@ def test_mitigation_and_nature_match_literal_oracles(case):
 @pytest.mark.parametrize("criterion", ["pessimistic", "optimistic"])
 def test_paths_enumerated_once_per_candidate(tree7, monkeypatch, criterion):
     # each candidate's new paths come from one join for the whole report,
-    # never from a full enumeration of an augmented graph; the only full
-    # enumeration is the one check per call that the base paths are complete
+    # never from a full enumeration of an augmented graph, and the join
+    # searches once from each entry and once from each target
     graph, params, game, sol = tree7
     rows = scan_candidates(graph, params, solution=sol)
     plan = alpha_mitigation(rows, k=1)
-    full, incremental = [], []
+    full, incremental, walks = [], [], []
 
     def counted(calls, function):
         def wrapper(*args, **kwargs):
@@ -563,11 +563,16 @@ def test_paths_enumerated_once_per_candidate(tree7, monkeypatch, criterion):
         if hasattr(module, "enumerate_attack_paths"):
             monkeypatch.setattr(module, "enumerate_attack_paths", counted(full, module.enumerate_attack_paths))
     monkeypatch.setattr(zeroday, "join_added_paths", counted(incremental, zeroday.join_added_paths))
+    monkeypatch.setattr(decoygraph.graph, "_simple_walks", counted(walks, decoygraph.graph._simple_walks))
+    searches = len(graph.entry_ids) + len(graph.target_ids)
+    assert searches == 3
     first = evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion=criterion)
-    assert full == [(game.graph,)]
+    assert full == []
+    assert len(walks) == searches
     assert [[tuple(e) for e in args[2]] for args in incremental] == [[r.edge for r in rows]]
     again = evaluate_mitigation(plan, game, sol.defender_strategy, rows, criterion=criterion)
-    assert full == [(game.graph,)] * 2
+    assert full == []
+    assert len(walks) == 2 * searches
     assert again.outcomes == first.outcomes
 
 

@@ -329,10 +329,13 @@ def test_game_restricted_by_entries_is_rejected(net20):
     with pytest.raises(ValueError, match="every attack path"):
         evaluate_candidate(game, x, (0, 1), y1=y)
     report = scan_candidates(graph, params)
-    with pytest.raises(ValueError, match="every attack path"):
-        mitigation.evaluate_mitigation(mitigation.none_mitigation(), game, x, report)
-    with pytest.raises(ValueError, match="every attack path"):
-        mitigation.nature_game(game, x, report[:3])
+    for plan in (mitigation.none_mitigation(), mitigation.alpha_mitigation(report, k=1)):
+        for criterion in CRITERIA:
+            with pytest.raises(ValueError, match="every attack path"):
+                mitigation.evaluate_mitigation(plan, game, x, report, criterion=criterion)
+    for rows in (report[:1], report[:3], report):
+        with pytest.raises(ValueError, match="every attack path"):
+            mitigation.nature_game(game, x, rows)
 
 
 @st.composite
@@ -415,19 +418,17 @@ def test_scan_fast_path_matches_full_rebuild(case):
         return
     shared = zeroday._Augmentation(game1, [c.edge for c in work])
     games2 = [build_matrix(augment(graph, c.edge), params) for c in work]
-    pad = len(graph.edges) + 1
     for k, game2 in enumerate(games2):
         index = shared.index[k, : shared.lengths[k]]
         row = shared.columns.take(index)
         full = PathColumns(game2.graph, enumerate_attack_paths(augment(graph, work[k].edge)))
         (positions, values), (full_positions, full_values) = row._steps, full._steps
         width = full_positions.shape[1]
-        assert np.array_equal(positions[:, :width], full_positions) and (positions[:, width:] == pad).all()
+        assert np.array_equal(positions[:, :width], full_positions) and (positions[:, width:] == -1).all()
         assert np.array_equal(values[:, :width], full_values) and not values[:, width:].any()
         for name in ("incidence", "weights", "totals"):
             assert np.array_equal(getattr(row, name), getattr(full, name))
-        assert [pad - 1 in path.edges for path in game2.paths] == shared.new_masks[k].tolist()[: len(index)]
-        assert not shared.new_masks[k, len(index):].any()
+        assert [len(graph.edges) in path.edges for path in game2.paths] == (index >= len(game1.paths)).tolist()
         assert (shared.index[k, len(index):] == len(shared.columns.totals)).all()
         matrix = shared.game(k).matrix
         assert np.array_equal(matrix, game2.matrix)
