@@ -10,7 +10,6 @@ zero-sum: the attacker's reward is the exact negation.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -72,8 +71,8 @@ class GameInstance:
 
     ``actions[i]`` is a sorted tuple of edge ids, ``paths[j]`` an attack
     path, and ``matrix[i, j]`` the defender reward for that profile. The
-    attacker payoff matrix is ``-matrix``. ``columns`` holds the paths'
-    reward-kernel table that the matrix was scored from, for later scoring
+    attacker payoff matrix is ``-matrix``. ``columns`` holds the padded
+    steps of the paths, which the matrix was scored from, for later scoring
     against the same paths. :func:`build_matrix` is the constructor.
     """
 
@@ -113,25 +112,36 @@ def build_matrix(
     """
     actions = defender_actions(graph, params)
     paths = enumerate_attack_paths(graph, entries=entries)
-    columns = PathColumns(graph, paths)
+    columns = PathColumns.of_paths(graph, paths)
     matrix = columns.payoff(params, *allocation_rows(graph, actions))
     return GameInstance(graph=graph, params=params, actions=actions, paths=paths, matrix=matrix, columns=columns)
 
 
 class PathColumns:
-    """Per-path data of the reward kernel, built in whole-array steps.
+    """The steps of a path set, which the reward kernel scores.
 
-    ``incidence[e, j]`` is 1.0 where path j takes edge e, ``weights[e, j]``
-    is then the value of the node that edge enters, and ``totals[j]`` sums
-    path j's non-entry node values in path order, from 0.0, as a per-node
-    loop would. ``_steps`` holds each path's edge ids in path order, padded
-    with -1, which indexes the one spare edge row past the E real ones, and
-    the values of the nodes they enter, padded with 0.0; the other arrays
-    are scattered from it. Scoring several allocation sets against one path
-    set reuses these columns, which keep neither the graph nor the paths.
+    ``positions[j]`` holds path j's edge ids in path order and ``values[j]``
+    the values of the nodes they enter; both are padded to one width, with
+    -1 and 0.0. ``hops[j]`` counts path j's edges, and ``totals[j]`` sums
+    its non-entry node values in path order, from 0.0, as a per-node loop
+    would. The edge x path arrays a score needs are scattered from the
+    steps when it is computed, over as many edges as its allocation rows
+    have; a pad indexes one spare edge row past them, which is cut off. So
+    several allocation sets can be scored against one path set, which keeps
+    neither the graph nor the paths.
     """
 
-    def __init__(self, graph: AttackGraph, paths):
+    def __init__(self, positions, values):
+        self.positions, self.values = positions, values
+        self.hops = np.count_nonzero(positions >= 0, axis=1)
+        # adds left to right, as a per-node loop would; np.sum would add long rows pairwise
+        self.totals = np.zeros(len(positions))
+        for column in values.T:
+            self.totals += column
+
+    @classmethod
+    def of_paths(cls, graph: AttackGraph, paths) -> "PathColumns":
+        """The table of the attack ``paths`` of ``graph``."""
         hops = np.fromiter((path.hops for path in paths), dtype=np.intp, count=len(paths))
         width = int(hops.max(initial=1))
         walked = np.arange(width) < hops[:, None]
@@ -140,39 +150,18 @@ class PathColumns:
         values = np.zeros((len(paths), width))
         node_values = graph.values
         values[walked] = [node_values[node] for path in paths for node in path.nodes[1:]]
-        self._fill(len(graph.edges), positions, values)
-
-    @classmethod
-    def from_steps(cls, n_edges: int, positions, values) -> "PathColumns":
-        """The columns of the paths whose padded steps are ``positions``
-        (edge ids below ``n_edges``, padded with -1) and ``values`` (padded
-        with 0.0), laid out as ``_steps``."""
-        columns = cls.__new__(cls)
-        columns._fill(n_edges, positions, values)
-        return columns
-
-    def _fill(self, n_edges, positions, values):
-        self._steps = positions, values
-        # pads scatter into one spare edge row, which is cut off
-        paths = np.arange(len(positions))[:, None]
-        self.incidence = np.zeros((n_edges + 1, len(positions)))
-        self.incidence[positions, paths] = 1.0
-        self.incidence = self.incidence[:n_edges]
-        self.weights = np.zeros((n_edges + 1, len(positions)))
-        self.weights[positions, paths] = values
-        self.weights = self.weights[:n_edges]
-        # adds left to right, as a per-node loop would; np.sum would add long rows pairwise
-        self.totals = np.zeros(len(positions))
-        for column in values.T:
-            self.totals += column
+        return cls(positions, values)
 
     def take(self, index) -> "PathColumns":
-        """The columns of the paths at positions ``index``, in that order."""
-        out = copy.copy(self)
-        for name in ("incidence", "weights", "totals"):
-            setattr(out, name, np.take(getattr(self, name), index, axis=-1))
-        out._steps = tuple(np.take(steps, index, axis=0) for steps in self._steps)
-        return out
+        """The table of the paths at positions ``index``, in that order."""
+        return PathColumns(np.take(self.positions, index, axis=0), np.take(self.values, index, axis=0))
+
+    def scatter(self, n_edges: int, data) -> np.ndarray:
+        """The (n_edges, paths) array that holds ``data``, a scalar or one
+        entry per step, where path j takes edge e, and 0.0 elsewhere."""
+        out = np.zeros((n_edges + 1, len(self.positions)))
+        out[self.positions, np.arange(len(self.positions))[:, None]] = data
+        return out[:n_edges]
 
     def payoff(self, params: GameParams, rows, deployed) -> np.ndarray:
         """Defender reward of every allocation, given as the ``rows`` and
@@ -186,28 +175,26 @@ class PathColumns:
         adds in path order, as a per-node loop would. The per-hop attacker
         cost always counts the full path.
         """
-        hops = self.incidence.sum(axis=0)
         costs = params.honeypot_cost * deployed
         if not params.terminate_on_capture:
-            out = rows @ self.weights
+            out = rows @ self.scatter(rows.shape[1], self.values)
             out *= params.cap + params.esc
-            out += -params.esc * self.totals + params.attack_cost_per_hop * hops
+            out += -params.esc * self.totals + params.attack_cost_per_hop * self.hops
             out -= costs[:, None]
             return out
-        positions, values = self._steps
-        covered = np.hstack([rows > 0, np.zeros((len(rows), 1), dtype=bool)])[:, positions]
+        covered = np.hstack([rows > 0, np.zeros((len(rows), 1), dtype=bool)])[:, self.positions]
         first = covered.argmax(axis=2)
-        running = np.cumsum(np.hstack([np.zeros((len(self.totals), 1)), -params.esc * values]), axis=1)
+        running = np.cumsum(np.hstack([np.zeros((len(self.totals), 1)), -params.esc * self.values]), axis=1)
         column = np.arange(len(self.totals))
-        captured = running[column, first] + params.cap * values[column, first]
-        escaped = running[column, hops.astype(int)]
+        captured = running[column, first] + params.cap * self.values[column, first]
+        escaped = running[column, self.hops]
         value_sums = np.where(covered.any(axis=2), captured, escaped)
-        return value_sums - costs[:, None] + params.attack_cost_per_hop * hops
+        return value_sums - costs[:, None] + params.attack_cost_per_hop * self.hops
 
     def hits(self, rows) -> np.ndarray:
         """1.0 where allocation i (a row of :func:`allocation_rows`) covers an
         edge of path j, else 0.0."""
-        hits = rows @ self.incidence
+        hits = rows @ self.scatter(rows.shape[1], 1.0)
         return np.minimum(hits, 1.0, out=hits)
 
 

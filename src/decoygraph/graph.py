@@ -185,6 +185,9 @@ def _validate(graph: AttackGraph) -> None:
 
     seen_edges: set[tuple[int, int]] = set()
     for u, v in graph.edges:
+        for endpoint in (u, v):
+            if not isinstance(endpoint, int) or isinstance(endpoint, bool):
+                raise GraphError(f"edge ({u!r}, {v!r}) endpoint {endpoint!r} is not an integer")
         if u not in graph.node_ids:
             raise GraphError(f"edge ({u}, {v}) references unknown node {u}")
         if v not in graph.node_ids:

@@ -132,9 +132,9 @@ class _Augmentation:
     Every augmented graph has the base graph's E edges plus the candidate,
     which gets id E. So the defender's E+1-edge allocations are the same for
     every candidate, and all candidates' paths share one table: ``columns``
-    holds its reward-kernel columns over those E+1 edges, for the base
-    paths, then each candidate's new paths. The table stacks the steps of
-    ``game1.columns`` and of one
+    holds the steps of the base paths, then of each candidate's new paths,
+    and is scored against allocation rows over those E+1 edges. It stacks
+    the steps of ``game1.columns`` and of one
     :func:`~decoygraph.graph.join_added_paths`, which pad with -1 alike.
     Row k of the padded (candidates, longest) array ``index`` lists the
     positions of candidate k's paths, in canonical order, in that table;
@@ -158,15 +158,15 @@ class _Augmentation:
         self.edges = [tuple(edge) for edge in edges]
         added = join_added_paths(self.graph, self.base_paths, self.edges)
         n_base, n_new = len(self.base_paths), len(added.steps)
-        base_positions, base_values = game1.columns._steps
-        width = max(base_positions.shape[1], added.steps.shape[1])
+        base = game1.columns
+        width = max(base.positions.shape[1], added.steps.shape[1])
         positions = np.full((n_base + n_new, width), -1, dtype=np.intp)
-        positions[:n_base, : base_positions.shape[1]] = base_positions
+        positions[:n_base, : base.positions.shape[1]] = base.positions
         positions[n_base:, : added.steps.shape[1]] = added.steps
         values = np.zeros((n_base + n_new, width))
-        values[:n_base, : base_values.shape[1]] = base_values
+        values[:n_base, : base.values.shape[1]] = base.values
         values[n_base:, : added.values.shape[1]] = added.values
-        self.columns = PathColumns.from_steps(len(self.graph.edges) + 1, positions, values)
+        self.columns = PathColumns(positions, values)
 
         n_candidates, counts, pad = len(self.edges), added.counts, n_base + n_new
         self.lengths = n_base + counts

@@ -119,12 +119,14 @@ def added_paths(graph, base_paths, edges) -> list[tuple[AttackPath, ...]]:
 
 
 def path_columns(graph, paths):
-    """``incidence``, ``weights``, ``totals`` and the padded ``_steps``
-    arrays of ``PathColumns(graph, paths)``, stored one path edge at a time,
-    with each total summed left to right from 0.0 in a Python loop."""
+    """The incidence and weights that ``PathColumns.of_paths(graph, paths)``
+    scatters over the graph's edges, then its ``totals``, ``hops``,
+    ``positions`` and ``values``, stored one path edge at a time, with each
+    total summed left to right from 0.0 in a Python loop."""
     incidence = np.zeros((len(graph.edges), len(paths)))
     weights = np.zeros((len(graph.edges), len(paths)))
     totals = np.zeros(len(paths))
+    hops = np.zeros(len(paths), dtype=np.intp)
     width = max((path.hops for path in paths), default=1)
     positions = np.full((len(paths), width), -1)
     values = np.zeros((len(paths), width))
@@ -137,8 +139,9 @@ def path_columns(graph, paths):
             positions[j, k] = eid
             values[j, k] = v
             total_value += v
+            hops[j] += 1
         totals[j] = total_value
-    return incidence, weights, totals, positions, values
+    return incidence, weights, totals, hops, positions, values
 
 
 def allocation_rows_loop(graph, actions, pinned=()):

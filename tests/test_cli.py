@@ -311,6 +311,7 @@ def test_invalid_graph_document_exits_one(tmp_path, capsys, fixture_dir):
         ("params", {"terminate_on_capture": "no"}, "terminate_on_capture"),
         ("graph", {"nodes": 5}, "'nodes'"),
         ("graph", {"edges": None}, "'edges'"),
+        ("graph", {"edges": [[True, 2.0], [2, 3]]}, "endpoint True is not an integer"),
         ("graph", {"value": math.nan}, "node 2"),
         ("graph", {"value": math.inf}, "node 2"),
         ("graph", {"value": True}, "node 2"),

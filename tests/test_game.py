@@ -103,7 +103,7 @@ def test_action_budget_and_limit_checks(line3, monkeypatch):
 def payoff_matrix(graph, params, actions, paths, pinned=()):
     """Defender reward of every allocation in ``actions`` plus the ``pinned``
     locations against every path, from one path table."""
-    return PathColumns(graph, paths).payoff(params, *allocation_rows(graph, actions, pinned))
+    return PathColumns.of_paths(graph, paths).payoff(params, *allocation_rows(graph, actions, pinned))
 
 
 def cell(graph, params, action, path, pinned=()):
@@ -241,7 +241,7 @@ def test_payoff_and_hit_kernels_match_literal_definitions(case):
         scale = max(1.0, float(np.abs(expected).max()))
         assert np.abs(got - expected).max() <= 1e-12 * scale
         rows, _ = allocation_rows(graph, actions, pinned)
-        assert np.array_equal(PathColumns(graph, paths).hits(rows),
+        assert np.array_equal(PathColumns.of_paths(graph, paths).hits(rows),
                               literal_hits(graph, actions, paths, pinned))
         terminate = replace(params, terminate_on_capture=True)
         assert np.array_equal(payoff_matrix(graph, terminate, actions, paths, pinned),
@@ -289,21 +289,28 @@ def test_path_columns_match_per_path_loop(g, data):
     value = st.integers(min_value=0, max_value=2000).map(lambda c: c / 100)
     graph = graph_from_parts([NodeRecord(n.id, data.draw(value), n.role) for n in g.nodes], g.edges)
     paths = enumerate_attack_paths(graph)
-    columns = PathColumns(graph, paths)
-    got = (columns.incidence, columns.weights, columns.totals, *columns._steps)
+    columns = PathColumns.of_paths(graph, paths)
+    n_edges = len(graph.edges)
+    got = (columns.scatter(n_edges, 1.0), columns.scatter(n_edges, columns.values), columns.totals, columns.hops,
+           columns.positions, columns.values)
     for array, expected in zip(got, path_columns(graph, paths)):
         assert array.dtype == expected.dtype and array.shape == expected.shape
         assert array.tobytes() == expected.tobytes()
     index = data.draw(st.lists(st.integers(min_value=0, max_value=len(paths) - 1), max_size=2 * len(paths)))
-    taken, fresh = columns.take(index), PathColumns(graph, [paths[j] for j in index])
+    taken, fresh = columns.take(index), PathColumns.of_paths(graph, [paths[j] for j in index])
     # totals own their data: no table keeps the running-sum array alive
     assert columns.totals.base is None and taken.totals.base is None and fresh.totals.base is None
-    for name in ("incidence", "weights", "totals"):
-        assert getattr(taken, name).tobytes() == getattr(fresh, name).tobytes()
+    actions = defender_actions(graph, GameParams(budget=min(2, n_edges)))
+    rows, deployed = allocation_rows(graph, actions)
+    for terminate in (False, True):
+        params = GameParams(cap=2.5, esc=1.25, honeypot_cost=0.5, attack_cost_per_hop=0.75,
+                            terminate_on_capture=terminate)
+        assert taken.payoff(params, rows, deployed).tobytes() == fresh.payoff(params, rows, deployed).tobytes()
+    assert taken.hits(rows).tobytes() == fresh.hits(rows).tobytes()
     # taken rows keep the table's padding, wider than the fresh table's
     # when the longest path is not taken
-    width = fresh._steps[0].shape[1]
-    for steps, fresh_steps, pad in zip(taken._steps, fresh._steps, (-1, 0.0)):
+    width = fresh.positions.shape[1]
+    for steps, fresh_steps, pad in ((taken.positions, fresh.positions, -1), (taken.values, fresh.values, 0.0)):
         assert steps[:, :width].tobytes() == fresh_steps.tobytes()
         assert (steps[:, width:] == pad).all()
 

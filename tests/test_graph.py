@@ -59,6 +59,8 @@ def test_document_round_trip():
         (lambda d: d["edges"].append([1, 9]), "unknown node 9"),
         (lambda d: d["edges"].append([2, 2]), "self-loop edge (2, 2)"),
         (lambda d: d["edges"].append([1, 2]), "duplicate edge (1, 2)"),
+        (lambda d: d["edges"].__setitem__(0, [True, 2.0]), "edge (True, 2.0) endpoint True is not an integer"),
+        (lambda d: d["edges"].__setitem__(0, [1, 2.0]), "edge (1, 2.0) endpoint 2.0 is not an integer"),
         (lambda d: d["edges"].clear(), "no path from any entry node to any target node"),
         (lambda d: d["nodes"][1].update(value=-1.0), "for node 2"),
         (lambda d: d["nodes"][1].update(role="weird"), "unknown role 'weird'"),

@@ -515,7 +515,7 @@ def test_mitigation_and_nature_match_literal_oracles(case):
     games = []
     for edge in edges:
         graph2 = augment(graph, edge)
-        columns = PathColumns(graph2, enumerate_attack_paths(graph2))
+        columns = PathColumns.of_paths(graph2, enumerate_attack_paths(graph2))
         games.append(columns.payoff(params, *allocation_rows(graph2, defender_actions(graph2, params), pins)))
     expected = _outcome(lambda: [solve_zero_sum(matrix).attacker_strategy for matrix in games])
     solved = []

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoygraph import mitigation, zeroday
-from decoygraph.game import GameParams, PathColumns, build_matrix, pure_strategy
+from decoygraph.game import GameParams, build_matrix, pure_strategy
 from decoygraph.graph import (
     NodeRecord,
     augment,
-    enumerate_attack_paths,
     generate_zero_day_candidates,
     graph_from_parts,
 )
@@ -29,7 +30,7 @@ from decoygraph.zeroday import (
     report_csv,
     scan_candidates,
 )
-from oracles import pad_strategy
+from oracles import pad_strategy, path_columns
 from test_game import literal_matrix
 from test_graph import role_digraphs
 
@@ -321,6 +322,31 @@ def test_failed_solve_raises_on_every_read_of_its_record(net20, monkeypatch):
     assert failed.optimistic == eager[(0, 1)]
 
 
+def test_shared_path_table_keeps_steps_not_edge_path_arrays():
+    # entry 0 -> target 1, and the entry -> each of 7 intermediates joined
+    # as a complete digraph: 50 edges, 15 candidates and 13,700 paths in the
+    # shared table. Its steps take about 2 MiB; dense edge x path arrays
+    # kept beside them would take 10 MiB more
+    ids = range(2, 9)
+    nodes = [NodeRecord(0, 1.0, "entry"), NodeRecord(1, 1.0, "target"),
+             *(NodeRecord(i, 1.0, "intermediate") for i in ids)]
+    edges = [(0, 1), *((0, i) for i in ids), *((u, v) for u in ids for v in ids if u != v)]
+    graph = graph_from_parts(nodes, edges)
+    game1 = build_matrix(graph, GameParams(budget=1))
+    work = [c.edge for c in generate_zero_day_candidates(graph) if c.status in ("analyzed", "dominant")]
+    assert (len(graph.edges), len(work)) == (50, 15)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        shared = zeroday._Augmentation(game1, work)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(shared.columns.totals) == 13_700
+    assert kept < 6 * 2**20
+
+
 def test_game_restricted_by_entries_is_rejected(net20):
     graph, params, _, _ = net20
     game = build_matrix(graph, params, entries=(0,))
@@ -421,13 +447,14 @@ def test_scan_fast_path_matches_full_rebuild(case):
     for k, game2 in enumerate(games2):
         index = shared.index[k, : shared.lengths[k]]
         row = shared.columns.take(index)
-        full = PathColumns(game2.graph, enumerate_attack_paths(augment(graph, work[k].edge)))
-        (positions, values), (full_positions, full_values) = row._steps, full._steps
-        width = full_positions.shape[1]
-        assert np.array_equal(positions[:, :width], full_positions) and (positions[:, width:] == -1).all()
-        assert np.array_equal(values[:, :width], full_values) and not values[:, width:].any()
-        for name in ("incidence", "weights", "totals"):
-            assert np.array_equal(getattr(row, name), getattr(full, name))
+        incidence, weights, totals, hops, positions, values = path_columns(game2.graph, game2.paths)
+        width = positions.shape[1]
+        assert row.positions[:, :width].tobytes() == positions.tobytes() and (row.positions[:, width:] == -1).all()
+        assert row.values[:, :width].tobytes() == values.tobytes() and not row.values[:, width:].any()
+        assert row.totals.tobytes() == totals.tobytes() and row.hops.tobytes() == hops.tobytes()
+        n_edges = len(game2.graph.edges)
+        assert row.scatter(n_edges, 1.0).tobytes() == incidence.tobytes()
+        assert row.scatter(n_edges, row.values).tobytes() == weights.tobytes()
         assert [len(graph.edges) in path.edges for path in game2.paths] == (index >= len(game1.paths)).tolist()
         assert (shared.index[k, len(index):] == len(shared.columns.totals)).all()
         matrix = shared.game(k).matrix
