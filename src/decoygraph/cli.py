@@ -237,8 +237,9 @@ def validate_plan_document(doc) -> None:
         if not 0.0 <= doc[field] <= 1.0:
             raise ValueError(f"{field} out of range")
     if doc.get("distribution") is not None:
+        # each entry is rounded to 6 places, off by up to 5e-7
         total = sum(item["x"] for item in doc["distribution"])
-        if total > doc.get("mitigation_budget", 1.0) + 1e-6:
+        if total > doc.get("mitigation_budget", 1.0) + 1e-6 + 5e-7 * len(doc["distribution"]):
             raise ValueError("distribution mass exceeds budget")
         for item in doc["distribution"]:
             if not -1e-9 <= item["x"] <= 1.0 + 1e-9:

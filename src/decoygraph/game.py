@@ -197,6 +197,24 @@ class PathColumns:
         hits = rows @ self.scatter(rows.shape[1], 1.0)
         return np.minimum(hits, 1.0, out=hits)
 
+    def mixed(self, params: GameParams, rows, deployed, probs) -> np.ndarray:
+        """Attacker reward and capture probability of every path, as a
+        (2, paths) array, against a mixed defender that plays the
+        allocations ``rows`` and ``deployed`` of :func:`allocation_rows`
+        with probabilities ``probs``.
+
+        The sums run over the rows one at a time, in row order, and are
+        vectorised across paths only. The attacker's old paths tie exactly
+        at equilibrium, and a matrix product (``probs @ payoff``) rounds
+        each column in its own order, which moves the argmax that breaks
+        those ties.
+        """
+        scores = np.zeros((2, len(self.totals)))
+        for prob, row, hit in zip(probs, self.payoff(params, rows, deployed), self.hits(rows)):
+            scores[0] -= prob * row
+            scores[1] += prob * hit
+        return scores
+
 
 def allocation_rows(graph: AttackGraph, actions, pinned=()):
     """Edge-indicator row of each allocation with the in-graph pins set, and

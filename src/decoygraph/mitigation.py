@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameInstance, GameParams, allocation_rows, build_matrix
+from .game import GameInstance, GameParams, build_matrix
 from .graph import NodeRecord, graph_from_parts
 from .lp import FEASIBILITY_TOL, GameSolution, solve_zero_sum
 from .zeroday import _Augmentation, _check_strategy, normalize_criterion, rank_records
@@ -166,62 +166,13 @@ def lp_mitigation(report, probabilities=None, budget: float = 1.0) -> Mitigation
     return MitigationPlan(kind="lp", pinned_edges=pinned, distribution=allocation, objective=residual)
 
 
-def _support(actions, policy):
-    """The allocations a mixed defender strategy plays, in action order, and
-    their probabilities."""
-    probs = np.asarray(policy)
-    index = np.flatnonzero(probs > 1e-12)
-    return [actions[i] for i in index], probs[index].tolist()
-
-
-def _path_scores(shared: _Augmentation, support, pins):
-    """Attacker reward and capture probability of every path of every
-    candidate's augmented graph against a mixed defender (its support) with
-    the frozenset ``pins``: the base paths' (2, paths) array, and a
-    (2, candidates, longest) array whose row k holds candidate k's paths in
-    canonical order, laid out as ``shared.index``. Pad slots hold reward
-    -inf and capture 0.0, so the first maximum of a row is a real path.
-
-    The path table is scored once per "own edge pinned" flag that some
-    candidate has, on that flag's stand-in graph; the candidates with that
-    flag gather their rows from its scores in one step.
-    """
-    flags = np.array([edge in pins for edge in shared.edges])
-    tables = {flag: _mixed_columns(shared.stand_in(flag, pins), shared.columns, shared.params, support, pins)
-              for flag in dict.fromkeys(flags.tolist())}
-    scores = np.empty((2, *shared.index.shape))
-    for flag, table in tables.items():
-        rows = flags == flag
-        scores[:, rows] = np.hstack([table, [[-np.inf], [0.0]]])[:, shared.index[rows]]
-    return tables[flags[0]][:, : len(shared.base_paths)], scores
-
-
 def _best_responses(scores):
     """Reward and capture, as lists, of each candidate's first best path in
-    the (2, candidates, longest) ``scores`` of :func:`_path_scores`."""
+    the (2, candidates, longest) ``scores`` of
+    :meth:`~decoygraph.zeroday._Augmentation.scores`."""
     best = scores[0].argmax(axis=-1)
     candidates = np.arange(len(best))
     return scores[0, candidates, best].tolist(), scores[1, candidates, best].tolist()
-
-
-def _mixed_columns(graph, columns, params, support, pinned):
-    """Attacker reward and capture probability per path of ``columns``, as a
-    (2, paths) array, against a mixed defender (its support) with
-    deterministic pinned extras, whose allocation rows are laid out on
-    ``graph``.
-
-    The sums run over the support rows one at a time, in support order, and
-    are vectorised across paths only. The attacker's old paths tie exactly at
-    equilibrium, and a matrix product (``probs @ rows``) rounds each column
-    in its own order, which moves the argmax that breaks those ties.
-    """
-    allocations, probs = support
-    rows, deployed = allocation_rows(graph, allocations, pinned)
-    scores = np.zeros((2, len(columns.totals)))
-    for prob, row, hit in zip(probs, columns.payoff(params, rows, deployed), columns.hits(rows)):
-        scores[0] -= prob * row
-        scores[1] += prob * hit
-    return scores
 
 
 def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimistic") -> NatureGame:
@@ -230,7 +181,8 @@ def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimisti
     Off-diagonal cells carry the defender's unmitigated expected reward for
     nature's chosen vulnerability under the given criterion; diagonal cells
     score the base policy plus one pinned honeypot at the matching location
-    against the attacker's best response on the augmented graph.
+    against the attacker's best response on the augmented graph, read from
+    one :meth:`~decoygraph.zeroday._Augmentation.scores` of every location.
     """
     rows = list(report)
     if not rows:
@@ -242,15 +194,14 @@ def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimisti
     for j, rec in enumerate(rows):
         unmitigated = rec.pessimistic if criterion == "pessimistic" else rec.optimistic
         matrix[:, j] = -unmitigated
-    support = _support(game1.actions, _check_strategy(x1, game1.actions))
+    x1 = _check_strategy(x1, game1.actions)
     shared = _Augmentation(game1, [rec.edge for rec in rows])
     # each location is a non-edge of the original graph: on its own augmented
     # graph its pin covers exactly the candidate's edge E, on the base paths
-    # nothing, and it deploys one honeypot. So location 0's pin, on its own
-    # graph, scores every candidate's paths as that candidate's own pin does
-    pins = frozenset(shared.edges[:1])
-    scores = _mixed_columns(shared.stand_in(True, pins), shared.columns, game1.params, support, pins)
-    np.fill_diagonal(matrix, -np.append(scores[0], -np.inf)[shared.index].max(axis=1))
+    # nothing, and it deploys one honeypot. So location 0's pin, counted as
+    # every candidate's own, scores each candidate's paths as its own pin does
+    scores = shared.scores(x1, frozenset(shared.edges[:1]), True)
+    np.fill_diagonal(matrix, -scores[0].max(axis=1))
     solution = solve_zero_sum(matrix)
     return NatureGame(locations=tuple(r.edge for r in rows), matrix=matrix, solution=solution)
 
@@ -318,11 +269,10 @@ def evaluate_mitigation(
     """Score a plan over every scanned candidate.
 
     The base policy (no pins) and the mitigated defender (modified or base
-    policy plus pins) are each scored once on the path table of
-    :class:`~decoygraph.zeroday._Augmentation`: the original paths, then the
-    paths each candidate's edge adds. Every candidate's paths are read from
-    those scores in one gather through the padded index table, in canonical
-    order, so a tied best response is the first tied path. The attacker's
+    policy plus pins) are each scored by
+    :meth:`~decoygraph.zeroday._Augmentation.scores`, which gives every
+    candidate's paths in canonical order, so a tied best response is the
+    first tied path. The attacker's
     criterion (``"pessimistic"``/``"pes"`` or ``"optimistic"``/``"opt"``)
     strategy is recomputed against the mitigated defender: a best response
     (pessimistic) or the equilibrium attacker strategy of the pinned
@@ -340,14 +290,12 @@ def evaluate_mitigation(
     if not rows:
         return MitigationMetrics(outcomes=[], effectiveness=0.0, capture_before=0.0, capture_after=0.0)
     pins = frozenset(tuple(p) for p in plan.pinned_edges)
-    before = _support(game1.actions, x_base)
-    after = _support(game1.actions, policy)
+    scores_after = shared.scores(policy, pins, [edge in pins for edge in shared.edges])
     # a pin on a candidate edge covers no original path, and deploys one
-    # honeypot whether or not that candidate's edge is added
-    base_after, scores_after = _path_scores(shared, after, pins)
-    baseline = float(np.max(base_after[0]))
-    _, scores_before = _path_scores(shared, before, frozenset())
-    reward_before, capture_before = _best_responses(scores_before)
+    # honeypot whether or not that candidate's edge is added, so every
+    # candidate's row scores the base paths alike
+    baseline = float(np.max(scores_after[0, 0][shared.index[0] < len(game1.paths)]))
+    reward_before, capture_before = _best_responses(shared.scores(x_base, frozenset(), False))
     if criterion == "optimistic":
         reward_after, capture_after = [], []
         for k, length in enumerate(shared.lengths):

@@ -29,7 +29,6 @@ from .game import (
     allocation_rows,
     build_matrix,
     defender_actions,
-    pure_strategy,
 )
 from .graph import AttackGraph, augment, generate_zero_day_candidates, join_added_paths
 from .lp import solve_zero_sum
@@ -148,13 +147,16 @@ class _Augmentation:
     edge is pinned: edge E is covered exactly then, and every other pin is
     a base edge or an off-graph location that only costs
     ``honeypot_cost``. So one candidate's graph per "own edge pinned" flag
-    stands in for all candidates with that flag.
+    stands in for all candidates with that flag: :meth:`scores` scores a
+    mixed defender on the table once per flag, and :meth:`game` builds a
+    candidate's payoff matrix from that flag's allocation rows.
     A candidate that adds no path has exactly the base paths, so all such
     candidates with the same flag share one augmented game.
     """
 
     def __init__(self, game1: GameInstance, edges):
         self.graph, self.params, self.base_paths = game1.graph, game1.params, game1.paths
+        self.base_actions = game1.actions
         self.edges = [tuple(edge) for edge in edges]
         added = join_added_paths(self.graph, self.base_paths, self.edges)
         n_base, n_new = len(self.base_paths), len(added.steps)
@@ -179,7 +181,7 @@ class _Augmentation:
         self._rows = {}
         self._no_path_games = {}
 
-    def stand_in(self, own_pinned: bool, pins=frozenset()) -> AttackGraph:
+    def _stand_in(self, own_pinned: bool, pins=frozenset()) -> AttackGraph:
         """The augmented graph of the first candidate whose edge is in
         ``pins`` exactly when ``own_pinned``; every such candidate meets the
         same allocation rows on it as on its own augmented graph."""
@@ -189,7 +191,33 @@ class _Augmentation:
     @cached_property
     def actions(self) -> tuple[tuple[int, ...], ...]:
         """The defender actions of every augmented game."""
-        return defender_actions(self.stand_in(False), self.params)
+        return defender_actions(self._stand_in(False), self.params)
+
+    def scores(self, policy, pins, flags) -> np.ndarray:
+        """Attacker reward and capture probability of every candidate's
+        paths against the mixed strategy ``policy`` over the base game's
+        actions with honeypots pinned at the (u, v) locations in the
+        frozenset ``pins``: a (2, candidates, longest) array laid out as
+        ``index``, whose pad slots hold reward -inf and capture 0.0, so the
+        first maximum of a row is a real path.
+
+        ``flags`` says, for each candidate or once for all, whether its own
+        edge counts as pinned. The table is scored once per flag that
+        occurs, on that flag's stand-in graph, against the allocations the
+        policy plays, in action order; the candidates with that flag gather
+        their rows from those scores in one step.
+        """
+        policy = np.asarray(policy)
+        support = np.flatnonzero(policy > 1e-12)
+        allocations = [self.base_actions[i] for i in support]
+        flags = np.broadcast_to(flags, len(self.edges))
+        scores = np.empty((2, *self.index.shape))
+        for flag in dict.fromkeys(flags.tolist()):
+            rows, deployed = allocation_rows(self._stand_in(flag, pins), allocations, pins)
+            table = self.columns.mixed(self.params, rows, deployed, policy[support])
+            chosen = flags == flag
+            scores[:, chosen] = np.hstack([table, [[-np.inf], [0.0]]])[:, self.index[chosen]]
+        return scores
 
     def game(self, k, pins=frozenset()) -> "_AugmentedGame":
         """Candidate k's augmented game with honeypots pinned at the (u, v)
@@ -200,7 +228,7 @@ class _Augmentation:
         if not adds_path and key in self._no_path_games:
             return self._no_path_games[key]
         if key not in self._rows:
-            self._rows[key] = allocation_rows(self.stand_in(*key), self.actions, pins)
+            self._rows[key] = allocation_rows(self._stand_in(*key), self.actions, pins)
         columns = self.columns.take(self.index[k, : self.lengths[k]])
         game2 = _AugmentedGame(columns.payoff(self.params, *self._rows[key]))
         if not adds_path:
@@ -256,9 +284,10 @@ def _records(game1, x1, y1, work, *, criterion, pessimistic_mode) -> list[ZeroDa
 
         br_index = int(np.argmax(column_rewards))
         br_value = float(column_rewards[br_index])
-        br_strategy = pure_strategy(new_mask.size, br_index)
 
-        if criterion == "optimistic" or pessimistic_mode == "game2_ne":
+        # the criterion's attacker plays the augmented game's equilibrium y2
+        plays_y2 = criterion == "optimistic" or pessimistic_mode == "game2_ne"
+        if plays_y2:
             y2 = game2.attacker_equilibrium
             optimistic = float(column_rewards @ y2)
         elif status == "dominant":
@@ -268,15 +297,7 @@ def _records(game1, x1, y1, work, *, criterion, pessimistic_mode) -> list[ZeroDa
             # no equilibrium strategy enters the rest of this record
             optimistic = _DeferredOptimistic(shared, k, xhat)
 
-        if pessimistic_mode == "best_response":
-            pessimistic, pes_strategy = br_value, br_strategy
-        else:
-            pessimistic, pes_strategy = optimistic, y2
-
-        if criterion == "pessimistic":
-            reward_for_criterion, strategy_for_criterion = pessimistic, pes_strategy
-        else:
-            reward_for_criterion, strategy_for_criterion = optimistic, y2
+        pessimistic = br_value if pessimistic_mode == "best_response" else optimistic
         records.append(
             ZeroDayRecord(
                 edge=shared.edges[k],
@@ -284,9 +305,9 @@ def _records(game1, x1, y1, work, *, criterion, pessimistic_mode) -> list[ZeroDa
                 naive=naive,
                 optimistic=optimistic,
                 pessimistic=pessimistic,
-                impact=reward_for_criterion - naive,
+                impact=(pessimistic if criterion == "pessimistic" else optimistic) - naive,
                 new_path_count=new_path_count,
-                exploit_probability=float(strategy_for_criterion[new_mask].sum()) if new_path_count else 0.0,
+                exploit_probability=float(y2[new_mask].sum()) if plays_y2 else float(new_mask[br_index]),
                 dominance=_classify_dominance(column_rewards, new_mask, y1, naive_mixed),
                 criterion=criterion,
                 pessimistic_mode=pessimistic_mode,

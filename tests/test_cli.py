@@ -157,6 +157,7 @@ def test_mitigate_rejects_non_finite_kappa(fixture_dir, capsys, name, kappa):
     "argv",
     [
         ["zeroday-scan", "--top", "-1"],
+        ["zeroday-scan", "--top", "abc"],
         ["mitigate", "--strategy", "nature", "--top-locations", "-2"],
         ["mitigate", "--strategy", "critical", "--top-locations", "-3"],
     ],
@@ -193,6 +194,68 @@ def test_plan_distribution_mass_checked_against_budget():
     with pytest.raises(ValueError, match="exceeds budget"):
         validate_plan_document(doc)
     validate_plan_document({**doc, "mitigation_budget": 1.0})
+
+
+def test_nature_plan_rounding_stays_within_budget(fixture_dir, capsys, tmp_path):
+    # the ten nature weights sum to 0.9999999999999997 but to 1.000004 once
+    # each is rounded to 6 places
+    params = json.loads((fixture_dir / "net20_params.json").read_text())
+    (tmp_path / "p.json").write_text(json.dumps({**params, "terminate_on_capture": True}))
+    code, out, err = run(
+        capsys, "mitigate", "-g", str(fixture_dir / "net20.json"), "-p", str(tmp_path / "p.json"),
+        "--strategy", "nature",
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert sum(item["x"] for item in doc["distribution"]) > 1.0 + 1e-6
+    validate_plan_document(doc)
+
+
+RECORD = {
+    "edge": [1, 3], "status": "analyzed", "dominance": "neither", "y_e": 1.0, "naive": 0.0,
+    "optimistic": 0.0, "pessimistic": 0.0, "impact": 0.0, "new_path_count": 1,
+}
+VALID_REPORT = {"criterion": "pessimistic", "pessimistic_y": "best_response", "records": [RECORD]}
+VALID_PLAN = {
+    "kind": "lp", "pinned_edges": [[1, 3]], "effectiveness": 1.0, "capture_before": 0.0,
+    "capture_after": 1.0, "distribution": [{"edge": [1, 3], "x": 1.0}],
+    "candidates": [{"edge": [1, 3], "prevented": True}],
+}
+MISSING = "<missing>"
+
+
+@pytest.mark.parametrize(
+    "validate, key, value, message",
+    [
+        (validate_report_document, "criterion", "opt", "unknown criterion 'opt'"),
+        (validate_report_document, "pessimistic_y", None, "unknown pessimistic_y None"),
+        (validate_report_document, "records", MISSING, "missing 'records'"),
+        (validate_report_document, "edge", [1], "malformed record edge"),
+        (validate_report_document, "status", "skipped", "unexpected record status 'skipped'"),
+        (validate_report_document, "dominance", "weak", "unexpected dominance class 'weak'"),
+        (validate_report_document, "y_e", 1.1, "exploit probability out of range"),
+        (validate_report_document, "impact", MISSING, "record missing 'impact'"),
+        (validate_plan_document, "kind", "pin", "unknown plan kind 'pin'"),
+        (validate_plan_document, "candidates", MISSING, "missing 'candidates'"),
+        (validate_plan_document, "pinned_edges", [[1, 3, 4]], "malformed pinned edge"),
+        (validate_plan_document, "effectiveness", 1.5, "effectiveness out of range"),
+        (validate_plan_document, "capture_after", -0.5, "capture_after out of range"),
+        (validate_plan_document, "distribution", [{"edge": [1, 3], "x": 1.0000021}], "exceeds budget"),
+        (validate_plan_document, "distribution", [{"edge": [1, 3], "x": -0.5}], r"entry out of \[0, 1\]"),
+        (validate_plan_document, "candidates", [{"edge": [1, 3], "prevented": 1}], "malformed candidate outcome"),
+    ],
+)
+def test_validators_reject_bad_documents(validate, key, value, message):
+    valid = VALID_REPORT if validate is validate_report_document else VALID_PLAN
+    validate(valid)
+    doc = json.loads(json.dumps(valid))
+    target = doc["records"][0] if valid is VALID_REPORT and key in RECORD else doc
+    if value is MISSING:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ValueError, match=message):
+        validate(doc)
 
 
 def test_evaluate_pairing(fixture_dir, capsys):

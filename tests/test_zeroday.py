@@ -145,16 +145,22 @@ class TestDominance:
         # the fixed-defender best response indeed plays the new path
         assert rec.exploit_probability == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("hop_cost, expected", [(13.0, "dominated"), (12.5, "neither")])
-    def test_dominated_and_boundary(self, hop_cost, expected):
+    # without y1 there are no supported old paths to be dominated by
+    @pytest.mark.parametrize(
+        "hop_cost, with_y1, expected",
+        [(13.0, True, "dominated"), (12.5, True, "neither"), (13.0, False, "neither")],
+        ids=["13.0-dominated", "12.5-neither", "13.0-no_y1-neither"],
+    )
+    def test_dominated_and_boundary(self, hop_cost, with_y1, expected):
         graph = dominated_fixture()
         params = GameParams(cap=10, esc=5, honeypot_cost=1, attack_cost_per_hop=hop_cost, budget=1)
         game = build_matrix(graph, params)
         sol = solve_zero_sum(game.matrix)
         assert sol.defender_strategy[game.actions.index((1,))] == pytest.approx(1.0)
-        rec = evaluate_candidate(game, sol.defender_strategy, (1, 4), y1=sol.attacker_strategy)
+        y1 = sol.attacker_strategy if with_y1 else None
+        rec = evaluate_candidate(game, sol.defender_strategy, (1, 4), y1=y1)
         assert rec.dominance == expected
-        if expected == "dominated":
+        if hop_cost == 13.0:
             # best response keeps zero probability on the new path
             assert rec.exploit_probability == pytest.approx(0.0)
             assert rec.impact == pytest.approx(0.0, abs=1e-9)
