@@ -142,6 +142,12 @@ def _record_document(record):
     }
 
 
+def _require(entry, keys, what) -> None:
+    for key in keys:
+        if key not in entry:
+            raise ValueError(f"{what} missing '{key}'")
+
+
 def validate_report_document(doc) -> None:
     """Schema check for emitted scan JSON; raises ValueError on mismatch."""
     if doc.get("criterion") not in ("pessimistic", "optimistic"):
@@ -157,11 +163,9 @@ def validate_report_document(doc) -> None:
             raise ValueError(f"unexpected record status {rec.get('status')!r}")
         if rec.get("dominance") not in ("dominant", "dominated", "neither"):
             raise ValueError(f"unexpected dominance class {rec.get('dominance')!r}")
-        if not -1e-9 <= rec.get("y_e", -1.0) <= 1.0 + 1e-9:
+        _require(rec, ("y_e", "naive", "optimistic", "pessimistic", "impact", "new_path_count"), "record")
+        if not -1e-9 <= rec["y_e"] <= 1.0 + 1e-9:
             raise ValueError("exploit probability out of range")
-        for key in ("naive", "optimistic", "pessimistic", "impact", "new_path_count"):
-            if key not in rec:
-                raise ValueError(f"record missing '{key}'")
 
 
 def cmd_zeroday_scan(args) -> int:
@@ -225,9 +229,7 @@ def validate_plan_document(doc) -> None:
     """Schema check for emitted plan JSON; raises ValueError on mismatch."""
     if doc.get("kind") not in mitigation.PLAN_KINDS:
         raise ValueError(f"unknown plan kind {doc.get('kind')!r}")
-    for key in ("pinned_edges", "effectiveness", "capture_before", "capture_after", "candidates"):
-        if key not in doc:
-            raise ValueError(f"plan document missing '{key}'")
+    _require(doc, ("pinned_edges", "effectiveness", "capture_before", "capture_after", "candidates"), "plan document")
     for edge in doc["pinned_edges"]:
         if len(edge) != 2:
             raise ValueError(f"malformed pinned edge {edge!r}")
@@ -237,6 +239,8 @@ def validate_plan_document(doc) -> None:
         if not 0.0 <= doc[field] <= 1.0:
             raise ValueError(f"{field} out of range")
     if doc.get("distribution") is not None:
+        for item in doc["distribution"]:
+            _require(item, ("x",), "distribution entry")
         # each entry is rounded to 6 places, off by up to 5e-7
         total = sum(item["x"] for item in doc["distribution"])
         if total > doc.get("mitigation_budget", 1.0) + 1e-6 + 5e-7 * len(doc["distribution"]):
@@ -245,6 +249,7 @@ def validate_plan_document(doc) -> None:
             if not -1e-9 <= item["x"] <= 1.0 + 1e-9:
                 raise ValueError("distribution entry out of [0, 1]")
     for entry in doc["candidates"]:
+        _require(entry, ("edge", "prevented"), "candidate outcome")
         if len(entry["edge"]) != 2 or not isinstance(entry["prevented"], bool):
             raise ValueError(f"malformed candidate outcome {entry!r}")
 

@@ -129,13 +129,9 @@ def expected_reward(game: GameInstance, x, y) -> tuple[float, float]:
     return d, -d
 
 
-def capture_proportion(game: GameInstance, x, y, pinned=()) -> float:
-    """Probability that the attack path crosses a honeypot-bearing edge.
-
-    ``pinned`` adds deterministic extra honeypot locations given as (u, v)
-    pairs; they are combined with every defender allocation draw.
-    """
-    rows, _ = allocation_rows(game.graph, game.actions, pinned)
+def capture_proportion(game: GameInstance, x, y) -> float:
+    """Probability that the attack path crosses a honeypot-bearing edge."""
+    rows, _ = allocation_rows(game.graph, game.actions)
     hit = game.columns.hits(rows)
     return float(np.asarray(x) @ hit @ np.asarray(y))
 

@@ -1,113 +1,25 @@
-"""Built-in example networks used by tests, docs, and the CLI walkthrough."""
+"""Loader for the example networks committed as ``fixtures/*.json``.
+
+The JSON files at the repository root are the one source of line3, tree7
+and net20. This module exists only because the benchmark in ``bench/``
+reads :data:`FIXTURES`; nothing in the package imports it.
+"""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from .game import GameParams, params_to_document
-from .graph import AttackGraph, NodeRecord, graph_from_parts, graph_to_document
+from .game import load_params
+from .graph import load_graph
+
+FIXTURE_DIR = Path(__file__).resolve().parents[2] / "fixtures"
 
 
-def line3_graph() -> AttackGraph:
-    """Three hosts in a line: 1 -> 2 -> 3, entry 1, target 3."""
-    nodes = [
-        NodeRecord(1, 0.0, "entry"),
-        NodeRecord(2, 1.0, "intermediate"),
-        NodeRecord(3, 2.0, "target"),
-    ]
-    return graph_from_parts(nodes, [(1, 2), (2, 3)])
+def _loaders(name: str):
+    return (
+        lambda: load_graph((FIXTURE_DIR / f"{name}.json").read_text()),
+        lambda: load_params((FIXTURE_DIR / f"{name}_params.json").read_text()),
+    )
 
 
-def line3_params() -> GameParams:
-    return GameParams(cap=10.0, esc=5.0, honeypot_cost=1.0, attack_cost_per_hop=1.0, budget=1)
-
-
-def tree7_graph() -> AttackGraph:
-    """Seven-node tree with a single entry and two target leaves.
-
-    One branch per target (1-2-4-5 and 1-3-6-7), so each target is reachable
-    by exactly one path until cross edges such as (2, 3) or (3, 5) appear.
-    """
-    nodes = [
-        NodeRecord(1, 0.0, "entry"),
-        NodeRecord(2, 1.0, "intermediate"),
-        NodeRecord(3, 1.0, "intermediate"),
-        NodeRecord(4, 2.0, "intermediate"),
-        NodeRecord(5, 8.0, "target"),
-        NodeRecord(6, 2.0, "intermediate"),
-        NodeRecord(7, 10.0, "target"),
-    ]
-    edges = [(1, 2), (1, 3), (2, 4), (3, 6), (4, 5), (6, 7)]
-    return graph_from_parts(nodes, edges)
-
-
-def tree7_params() -> GameParams:
-    return GameParams(cap=10.0, esc=5.0, honeypot_cost=1.0, attack_cost_per_hop=1.0, budget=1)
-
-
-def net20_graph() -> AttackGraph:
-    """Twenty-node funnel network with three entries and three targets.
-
-    Entries {0, 1, 2} feed thin branches that converge on the hub pair
-    6 -> 7 before fanning back out to targets {18, 19, 20}; the hubs lie on
-    every attack path, so they are the overlap nodes that critical-point
-    mitigation is meant to find. 22 edges; node id 10 is unused so the id
-    range can cover both end sets with exactly twenty nodes.
-    """
-    values = {
-        0: 0.0, 1: 0.0, 2: 0.0,
-        3: 1.0, 4: 1.0, 5: 1.0,
-        6: 2.0, 7: 5.0,
-        8: 2.0, 9: 2.0, 11: 2.0,
-        12: 3.0, 13: 3.0, 14: 3.0, 15: 3.0, 16: 3.0, 17: 3.0,
-        18: 9.0, 19: 9.0, 20: 9.0,
-    }
-    entries = {0, 1, 2}
-    targets = {18, 19, 20}
-    nodes = [
-        NodeRecord(i, values[i], "entry" if i in entries else "target" if i in targets else "intermediate")
-        for i in sorted(values)
-    ]
-    edges = [
-        (0, 3), (1, 4), (2, 5),
-        (3, 6), (4, 6), (5, 6),
-        (6, 7),
-        (7, 8), (7, 9), (7, 11),
-        (8, 12), (8, 13), (9, 14), (9, 15), (11, 16), (11, 17),
-        (12, 18), (13, 19), (14, 19), (15, 20), (16, 18), (17, 20),
-    ]
-    return graph_from_parts(nodes, edges)
-
-
-def net20_params() -> GameParams:
-    return GameParams(cap=10.0, esc=5.0, honeypot_cost=1.0, attack_cost_per_hop=8.0, budget=2)
-
-
-FIXTURES = {
-    "line3": (line3_graph, line3_params),
-    "tree7": (tree7_graph, tree7_params),
-    "net20": (net20_graph, net20_params),
-}
-
-
-def write_fixture_files(directory) -> list[Path]:
-    """Dump every fixture as <name>.json plus <name>_params.json."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, (graph_fn, params_fn) in FIXTURES.items():
-        graph_path = directory / f"{name}.json"
-        params_path = directory / f"{name}_params.json"
-        graph_path.write_text(json.dumps(graph_to_document(graph_fn()), indent=2) + "\n")
-        params_path.write_text(json.dumps(params_to_document(params_fn()), indent=2) + "\n")
-        written.extend([graph_path, params_path])
-    return written
-
-
-if __name__ == "__main__":
-    import sys
-
-    target = sys.argv[1] if len(sys.argv) > 1 else "fixtures"
-    for path in write_fixture_files(target):
-        print(path)
+FIXTURES = {name: _loaders(name) for name in ("line3", "tree7", "net20")}

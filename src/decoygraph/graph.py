@@ -434,7 +434,9 @@ def _canonical_ranks(base_nodes, nodes, candidate, n_nodes):
 
     Positions follow node id order, and -1 sorts before every node, so the
     padded rows of (entry, target, the other nodes) sort as the canonical
-    key does; :func:`_packed` makes them a few integer sort keys. No new
+    key does: one sort key per column, cast to the smallest integer type
+    that holds -1 and every position below ``n_nodes``, which sorts
+    fastest. No new
     path has a base path's node sequence, since it walks the one edge the
     base graph lacks, so one sort of the base and new rows together ranks
     each new path among the base paths.
@@ -445,25 +447,12 @@ def _canonical_ranks(base_nodes, nodes, candidate, n_nodes):
     rows[n_base:, : nodes.shape[1]] = nodes
     targets = rows[np.arange(len(rows)), (rows >= 0).sum(axis=1) - 1]
     rows = np.column_stack([rows[:, 0], targets, rows[:, 1:]])
-    order = np.lexsort(_packed(rows + 1, n_nodes + 1)[::-1])
+    order = np.lexsort(rows.T[::-1].astype(np.min_scalar_type(-n_nodes)))
     is_base = order < n_base
     before = np.cumsum(is_base) - is_base
     new_order = order[~is_base] - n_base
     by_candidate = np.argsort(candidate[new_order], kind="stable")
     return before[~is_base][by_candidate], new_order[by_candidate]
-
-
-def _packed(rows, n_values):
-    """Rows of integers in [0, ``n_values``) as the fewest int64 columns,
-    most significant first, that order them as their entries would, left to
-    right: each column holds as many entries as fit, in bit fields."""
-    bits = max(int(n_values - 1).bit_length(), 1)
-    per_column = 63 // bits
-    shifts = bits * np.arange(per_column - 1, -1, -1)
-    return [
-        (rows[:, i : i + per_column] << shifts[: rows[:, i : i + per_column].shape[1]]).sum(axis=1)
-        for i in range(0, rows.shape[1], per_column)
-    ]
 
 
 def _simple_walks(neighbours, start: int, ends: set[int] | range, found=None, *, max_hops=None, limit=None):

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from decoygraph import fixtures, mitigation
+from decoygraph import mitigation
 from decoygraph.evaluation import SweepConfig, capture_proportion, expected_reward, make_policy, sweep
 from decoygraph.game import GameParams, build_matrix
 from decoygraph.graph import augment

@@ -5,16 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from decoygraph import evaluation, fixtures
+from decoygraph import evaluation
 from decoygraph.cli import _emit_json, main, validate_plan_document, validate_report_document
+from conftest import FIXTURE_DIR, load_fixture
 from test_zeroday import fail_on_game
 
 
 @pytest.fixture(scope="module")
-def fixture_dir(tmp_path_factory):
-    path = tmp_path_factory.mktemp("docs")
-    fixtures.write_fixture_files(path)
-    return path
+def fixture_dir():
+    # the committed files users run, so the golden digests pin their output
+    return FIXTURE_DIR
 
 
 def run(capsys, *argv):
@@ -235,6 +235,7 @@ MISSING = "<missing>"
         (validate_report_document, "dominance", "weak", "unexpected dominance class 'weak'"),
         (validate_report_document, "y_e", 1.1, "exploit probability out of range"),
         (validate_report_document, "impact", MISSING, "record missing 'impact'"),
+        (validate_report_document, "y_e", MISSING, "record missing 'y_e'"),
         (validate_plan_document, "kind", "pin", "unknown plan kind 'pin'"),
         (validate_plan_document, "candidates", MISSING, "missing 'candidates'"),
         (validate_plan_document, "pinned_edges", [[1, 3, 4]], "malformed pinned edge"),
@@ -242,7 +243,10 @@ MISSING = "<missing>"
         (validate_plan_document, "capture_after", -0.5, "capture_after out of range"),
         (validate_plan_document, "distribution", [{"edge": [1, 3], "x": 1.0000021}], "exceeds budget"),
         (validate_plan_document, "distribution", [{"edge": [1, 3], "x": -0.5}], r"entry out of \[0, 1\]"),
+        (validate_plan_document, "distribution", [{"edge": [1, 3]}], "distribution entry missing 'x'"),
         (validate_plan_document, "candidates", [{"edge": [1, 3], "prevented": 1}], "malformed candidate outcome"),
+        (validate_plan_document, "candidates", [{"edge": [1, 3]}], "candidate outcome missing 'prevented'"),
+        (validate_plan_document, "candidates", [{"prevented": True}], "candidate outcome missing 'edge'"),
     ],
 )
 def test_validators_reject_bad_documents(validate, key, value, message):
@@ -274,8 +278,7 @@ def test_evaluate_pairing(fixture_dir, capsys):
 @pytest.mark.parametrize("defender", evaluation.POLICY_KINDS)
 @pytest.mark.parametrize("name", ["line3", "tree7", "net20"])
 def test_evaluate_pairing_matches_sweep_and_cli(fixture_dir, capsys, name, defender, attacker):
-    graph_fn, params_fn = fixtures.FIXTURES[name]
-    graph, params = graph_fn(), params_fn()
+    graph, params = load_fixture(name)
     got = evaluation.evaluate_pairing(graph, params, defender, attacker)
     config = evaluation.SweepConfig("honeypots", (params.budget,), params, defender, attacker)
     row = evaluation.sweep(graph, config).rows[0]
@@ -436,16 +439,3 @@ def test_cli_output_matches_golden_digest(fixture_dir, capsys, command):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command]
 
-
-def test_repo_fixture_files_match_builders(fixture_dir):
-    import pathlib
-
-    repo_fixtures = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
-    if not repo_fixtures.is_dir():
-        pytest.skip("repo fixtures not generated")
-    for name in ("line3", "tree7", "net20"):
-        for suffix in ("", "_params"):
-            fname = f"{name}{suffix}.json"
-            assert json.loads((repo_fixtures / fname).read_text()) == json.loads(
-                (fixture_dir / fname).read_text()
-            )

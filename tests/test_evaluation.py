@@ -96,13 +96,6 @@ class TestCaptureProportion:
         x[game2.actions.index((1,))] = 1.0
         assert capture_proportion(game2, x, [0.5, 0.5]) == pytest.approx(0.5)
 
-    def test_pinned_edges_count(self, line3):
-        graph, params, _, _ = line3
-        game2 = build_matrix(augment(graph, (1, 3)), params)
-        x = np.zeros(4)
-        x[game2.actions.index((1,))] = 1.0
-        assert capture_proportion(game2, x, [0.5, 0.5], pinned=[(1, 3)]) == pytest.approx(1.0)
-
 
 class TestSweep:
     def test_config_validation(self, line3):

@@ -25,7 +25,7 @@ from decoygraph.graph import (
     generate_zero_day_candidates,
     graph_from_parts,
 )
-from decoygraph import fixtures
+from conftest import load_fixture
 from oracles import allocation_rows_loop, literal_reward, pad_strategy, path_columns
 from test_graph import role_digraphs
 
@@ -134,7 +134,7 @@ def test_reward_terminate_on_capture(line3):
 
 def test_reward_honeypot_cost_monotonicity():
     rng = np.random.default_rng(5)
-    graph = fixtures.tree7_graph()
+    graph, _ = load_fixture("tree7")
     params = GameParams(budget=3)
     game = build_matrix(graph, params)
     for _ in range(50):

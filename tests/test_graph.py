@@ -372,17 +372,20 @@ def test_augmented_paths_through_cycles_and_inner_roles():
 
 
 def test_added_paths_with_long_walks_and_many_nodes():
-    # two 35-node chains with cross edges: new paths of up to 70 nodes need
-    # more than one packed sort key, and 70 nodes more than one mask word
-    nodes = [NodeRecord(i, float(i % 7), "entry" if i in (0, 35) else "target" if i in (34, 69) else "intermediate")
-             for i in range(70)]
-    chains = [(i, i + 1) for i in range(34)] + [(i, i + 1) for i in range(35, 69)]
-    g = graph_from_parts(nodes, chains + [(10, 47), (55, 20)])
+    # two 70-node chains with cross edges: new paths of up to 140 nodes
+    # sort on node positions past 127, which take more than 8 bits, and 140
+    # nodes take three mask words
+    n = 70
+    roles = {0: "entry", n: "entry", n - 1: "target", 2 * n - 1: "target"}
+    nodes = [NodeRecord(i, float(i % 7), roles.get(i, "intermediate")) for i in range(2 * n)]
+    chains = [(i, i + 1) for i in range(n - 1)] + [(i, i + 1) for i in range(n, 2 * n - 1)]
+    g = graph_from_parts(nodes, chains + [(10, n + 12), (n + 20, 20)])
     base = enumerate_attack_paths(g)
-    edges = [(u, v) for u in (1, 12, 33, 40, 60, 68) for v in (2, 21, 30, 36, 50, 66) if (u, v) not in g.edge_index]
+    tails, heads = (1, 12, n - 2, n + 5, n + 25, 2 * n - 2), (2, 21, n - 5, n + 1, n + 15, 2 * n - 4)
+    edges = [(u, v) for u in tails for v in heads if (u, v) not in g.edge_index]
     added = added_paths(g, base, edges)
     assert added == [_new_paths(g, base, e) for e in edges]
-    assert max(len(path.nodes) for new in added for path in new) > 63
+    assert max(len(path.nodes) for new in added for path in new) > 128
     # each new path's place in its augmented graph's canonical order
     joined = join_added_paths(g, base, edges)
     firsts = np.cumsum(joined.counts) - joined.counts

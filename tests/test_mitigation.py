@@ -308,13 +308,17 @@ class TestEvaluateMitigation:
         graph, params, game, sol = tree7
         from decoygraph.evaluation import capture_proportion
 
+        def capture(pins):
+            return sol.defender_strategy @ game.columns.hits(allocation_rows(graph, game.actions, pins)[0]) @ y
+
         rng = np.random.default_rng(9)
         for _ in range(25):
             y = rng.dirichlet(np.ones(len(game.paths)))
             base = capture_proportion(game, sol.defender_strategy, y)
-            pinned = capture_proportion(game, sol.defender_strategy, y, pinned=[(2, 3)])
+            assert capture(()) == base
+            pinned = capture([(2, 3)])
             edge = graph.edges[int(rng.integers(len(graph.edges)))]
-            pinned_real = capture_proportion(game, sol.defender_strategy, y, pinned=[edge])
+            pinned_real = capture([edge])
             assert pinned >= base - 1e-12
             assert pinned_real >= base - 1e-12
 
