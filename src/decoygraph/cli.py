@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evaluation, mitigation, zeroday
 from .game import build_matrix, load_params
-from .graph import GraphError, enumerate_attack_paths, load_graph
+from .graph import GraphError, enumerate_attack_paths, is_finite_number, load_graph
 from .lp import SolverError, solve_zero_sum
 from .zeroday import fmt6
 
@@ -142,29 +142,42 @@ def _record_document(record):
     }
 
 
-def _require(entry, keys, what) -> None:
+def _require(entry, keys, what) -> dict:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} is not an object: {entry!r}")
     for key in keys:
         if key not in entry:
             raise ValueError(f"{what} missing '{key}'")
+    return entry
+
+
+def _list(value, what) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} is not a list: {value!r}")
+    return value
+
+
+def _is_edge(value) -> bool:
+    return isinstance(value, list) and len(value) == 2
 
 
 def validate_report_document(doc) -> None:
     """Schema check for emitted scan JSON; raises ValueError on mismatch."""
+    _require(doc, ("records",), "report document")
     if doc.get("criterion") not in ("pessimistic", "optimistic"):
         raise ValueError(f"unknown criterion {doc.get('criterion')!r}")
     if doc.get("pessimistic_y") not in zeroday.PESSIMISTIC_MODES:
         raise ValueError(f"unknown pessimistic_y {doc.get('pessimistic_y')!r}")
-    if "records" not in doc:
-        raise ValueError("report document missing 'records'")
-    for rec in doc["records"]:
-        if len(rec.get("edge", ())) != 2:
+    for rec in _list(doc["records"], "'records'"):
+        _require(rec, (), "record")
+        if not _is_edge(rec.get("edge")):
             raise ValueError(f"malformed record edge {rec!r}")
         if rec.get("status") not in ("analyzed", "dominant"):
             raise ValueError(f"unexpected record status {rec.get('status')!r}")
         if rec.get("dominance") not in ("dominant", "dominated", "neither"):
             raise ValueError(f"unexpected dominance class {rec.get('dominance')!r}")
         _require(rec, ("y_e", "naive", "optimistic", "pessimistic", "impact", "new_path_count"), "record")
-        if not -1e-9 <= rec["y_e"] <= 1.0 + 1e-9:
+        if not (is_finite_number(rec["y_e"]) and -1e-9 <= rec["y_e"] <= 1.0 + 1e-9):
             raise ValueError("exploit probability out of range")
 
 
@@ -227,30 +240,29 @@ def _plan_document(plan, metrics, extra):
 
 def validate_plan_document(doc) -> None:
     """Schema check for emitted plan JSON; raises ValueError on mismatch."""
+    _require(doc, ("pinned_edges", "effectiveness", "capture_before", "capture_after", "candidates"), "plan document")
     if doc.get("kind") not in mitigation.PLAN_KINDS:
         raise ValueError(f"unknown plan kind {doc.get('kind')!r}")
-    _require(doc, ("pinned_edges", "effectiveness", "capture_before", "capture_after", "candidates"), "plan document")
-    for edge in doc["pinned_edges"]:
-        if len(edge) != 2:
+    for edge in _list(doc["pinned_edges"], "'pinned_edges'"):
+        if not _is_edge(edge):
             raise ValueError(f"malformed pinned edge {edge!r}")
-    if not 0.0 <= doc["effectiveness"] <= 1.0:
-        raise ValueError("effectiveness out of range")
-    for field in ("capture_before", "capture_after"):
-        if not 0.0 <= doc[field] <= 1.0:
+    for field in ("effectiveness", "capture_before", "capture_after"):
+        if not (is_finite_number(doc[field]) and 0.0 <= doc[field] <= 1.0):
             raise ValueError(f"{field} out of range")
     if doc.get("distribution") is not None:
-        for item in doc["distribution"]:
-            _require(item, ("x",), "distribution entry")
+        entries = _list(doc["distribution"], "'distribution'")
+        xs = [_require(item, ("x",), "distribution entry")["x"] for item in entries]
+        budget = doc.get("mitigation_budget", 1.0)
+        if not all(map(is_finite_number, [*xs, budget])):
+            raise ValueError("distribution entry or mitigation_budget is not a number")
         # each entry is rounded to 6 places, off by up to 5e-7
-        total = sum(item["x"] for item in doc["distribution"])
-        if total > doc.get("mitigation_budget", 1.0) + 1e-6 + 5e-7 * len(doc["distribution"]):
+        if sum(xs) > budget + 1e-6 + 5e-7 * len(xs):
             raise ValueError("distribution mass exceeds budget")
-        for item in doc["distribution"]:
-            if not -1e-9 <= item["x"] <= 1.0 + 1e-9:
-                raise ValueError("distribution entry out of [0, 1]")
-    for entry in doc["candidates"]:
+        if not all(-1e-9 <= x <= 1.0 + 1e-9 for x in xs):
+            raise ValueError("distribution entry out of [0, 1]")
+    for entry in _list(doc["candidates"], "'candidates'"):
         _require(entry, ("edge", "prevented"), "candidate outcome")
-        if len(entry["edge"]) != 2 or not isinstance(entry["prevented"], bool):
+        if not _is_edge(entry["edge"]) or not isinstance(entry["prevented"], bool):
             raise ValueError(f"malformed candidate outcome {entry!r}")
 
 

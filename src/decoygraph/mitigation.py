@@ -55,7 +55,6 @@ class MitigationPlan:
     modified_policy: np.ndarray | None = None
     boosted_values: dict | None = None
     objective: float | None = None
-    metrics: MitigationMetrics | None = None
 
 
 @dataclass
@@ -166,15 +165,6 @@ def lp_mitigation(report, probabilities=None, budget: float = 1.0) -> Mitigation
     return MitigationPlan(kind="lp", pinned_edges=pinned, distribution=allocation, objective=residual)
 
 
-def _best_responses(scores):
-    """Reward and capture, as lists, of each candidate's first best path in
-    the (2, candidates, longest) ``scores`` of
-    :meth:`~decoygraph.zeroday._Augmentation.scores`."""
-    best = scores[0].argmax(axis=-1)
-    candidates = np.arange(len(best))
-    return scores[0, candidates, best].tolist(), scores[1, candidates, best].tolist()
-
-
 def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimistic") -> NatureGame:
     """Worst-case mitigation: solve defender-vs-nature over pin locations.
 
@@ -182,26 +172,17 @@ def nature_game(game1: GameInstance, x1, report, *, criterion: str = "pessimisti
     nature's chosen vulnerability under the given criterion; diagonal cells
     score the base policy plus one pinned honeypot at the matching location
     against the attacker's best response on the augmented graph, read from
-    one :meth:`~decoygraph.zeroday._Augmentation.scores` of every location.
+    :meth:`~decoygraph.zeroday._Augmentation.responses` with ``own_pinned``.
     """
     rows = list(report)
     if not rows:
         raise ValueError("no candidate locations for the nature game")
     criterion = normalize_criterion(criterion)
-
-    n = len(rows)
-    matrix = np.empty((n, n))
-    for j, rec in enumerate(rows):
-        unmitigated = rec.pessimistic if criterion == "pessimistic" else rec.optimistic
-        matrix[:, j] = -unmitigated
     x1 = _check_strategy(x1, game1.actions)
-    shared = _Augmentation(game1, [rec.edge for rec in rows])
-    # each location is a non-edge of the original graph: on its own augmented
-    # graph its pin covers exactly the candidate's edge E, on the base paths
-    # nothing, and it deploys one honeypot. So location 0's pin, counted as
-    # every candidate's own, scores each candidate's paths as its own pin does
-    scores = shared.scores(x1, frozenset(shared.edges[:1]), True)
-    np.fill_diagonal(matrix, -scores[0].max(axis=1))
+    unmitigated = [rec.pessimistic if criterion == "pessimistic" else rec.optimistic for rec in rows]
+    matrix = np.tile(-np.asarray(unmitigated), (len(rows), 1))
+    rewards, _, _ = _Augmentation(game1, [rec.edge for rec in rows]).responses(x1, own_pinned=True)
+    np.fill_diagonal(matrix, -np.asarray(rewards))
     solution = solve_zero_sum(matrix)
     return NatureGame(locations=tuple(r.edge for r in rows), matrix=matrix, solution=solution)
 
@@ -268,43 +249,30 @@ def evaluate_mitigation(
 ) -> MitigationMetrics:
     """Score a plan over every scanned candidate.
 
-    The base policy (no pins) and the mitigated defender (modified or base
-    policy plus pins) are each scored by
-    :meth:`~decoygraph.zeroday._Augmentation.scores`, which gives every
+    The attacker's responses to the base policy (no pins) and to the
+    mitigated defender (modified or base policy plus pins) both come from
+    :meth:`~decoygraph.zeroday._Augmentation.responses`, which reads every
     candidate's paths in canonical order, so a tied best response is the
-    first tied path. The attacker's
-    criterion (``"pessimistic"``/``"pes"`` or ``"optimistic"``/``"opt"``)
-    strategy is recomputed against the mitigated defender: a best response
-    (pessimistic) or the equilibrium attacker strategy of the pinned
-    augmented game (optimistic). A candidate counts as prevented when the
-    mitigated attacker reward does not exceed what the attacker could
-    already get on the original graph against the same mitigated defender
-    (within ``PREVENTION_TOL``), so the zero-day yields no residual benefit.
+    first tied path. The base policy meets a best response, the mitigated
+    defender the attacker's criterion (``"pessimistic"``/``"pes"`` or
+    ``"optimistic"``/``"opt"``): a best response or the equilibrium of the
+    pinned augmented game. An empty report scores zero before any augmented
+    game is built. A candidate counts as prevented when the mitigated
+    attacker reward does not exceed what the attacker could already get on
+    the original graph against the same mitigated defender (within
+    ``PREVENTION_TOL``), so the zero-day yields no residual benefit.
     Capture proportions are exact expectations under both strategies.
     """
     criterion = normalize_criterion(criterion)
     x_base = _check_strategy(x_base, game1.actions)
     policy = x_base if plan.modified_policy is None else _check_strategy(plan.modified_policy, game1.actions)
     rows = list(report)
-    shared = _Augmentation(game1, [rec.edge for rec in rows])
     if not rows:
         return MitigationMetrics(outcomes=[], effectiveness=0.0, capture_before=0.0, capture_after=0.0)
+    shared = _Augmentation(game1, [rec.edge for rec in rows])
     pins = frozenset(tuple(p) for p in plan.pinned_edges)
-    scores_after = shared.scores(policy, pins, [edge in pins for edge in shared.edges])
-    # a pin on a candidate edge covers no original path, and deploys one
-    # honeypot whether or not that candidate's edge is added, so every
-    # candidate's row scores the base paths alike
-    baseline = float(np.max(scores_after[0, 0][shared.index[0] < len(game1.paths)]))
-    reward_before, capture_before = _best_responses(shared.scores(x_base, frozenset(), False))
-    if criterion == "optimistic":
-        reward_after, capture_after = [], []
-        for k, length in enumerate(shared.lengths):
-            y2 = shared.game(k, pins).attacker_equilibrium
-            # contiguous row prefixes: a strided dot product rounds differently
-            reward_after.append(float(scores_after[0, k, :length] @ y2))
-            capture_after.append(float(scores_after[1, k, :length] @ y2))
-    else:
-        reward_after, capture_after = _best_responses(scores_after)
+    reward_after, capture_after, baseline = shared.responses(policy, pins, criterion)
+    reward_before, capture_before, _ = shared.responses(x_base)
     outcomes = [
         CandidateOutcome(
             edge=rec.edge,

@@ -147,9 +147,10 @@ class _Augmentation:
     edge is pinned: edge E is covered exactly then, and every other pin is
     a base edge or an off-graph location that only costs
     ``honeypot_cost``. So one candidate's graph per "own edge pinned" flag
-    stands in for all candidates with that flag: :meth:`scores` scores a
-    mixed defender on the table once per flag, and :meth:`game` builds a
-    candidate's payoff matrix from that flag's allocation rows.
+    stands in for all candidates with that flag: :meth:`responses` scores a
+    mixed defender on the table once per flag and reads each candidate's
+    attacker response from it, and :meth:`game` builds a candidate's payoff
+    matrix from that flag's allocation rows.
     A candidate that adds no path has exactly the base paths, so all such
     candidates with the same flag share one augmented game.
     """
@@ -193,31 +194,46 @@ class _Augmentation:
         """The defender actions of every augmented game."""
         return defender_actions(self._stand_in(False), self.params)
 
-    def scores(self, policy, pins, flags) -> np.ndarray:
-        """Attacker reward and capture probability of every candidate's
-        paths against the mixed strategy ``policy`` over the base game's
-        actions with honeypots pinned at the (u, v) locations in the
-        frozenset ``pins``: a (2, candidates, longest) array laid out as
-        ``index``, whose pad slots hold reward -inf and capture 0.0, so the
-        first maximum of a row is a real path.
+    def responses(self, policy, pins=frozenset(), criterion="pessimistic", *, own_pinned=False):
+        """Each candidate's attacker reward and capture probability, as two
+        lists, and the best reward a base path gets, against the mixed
+        strategy ``policy`` over the base game's actions with honeypots
+        pinned at the (u, v) locations in the frozenset ``pins``, and at
+        every candidate's own edge too when ``own_pinned``. The attacker
+        plays the first best path in canonical order (``"pessimistic"``) or
+        the pinned augmented game's equilibrium (``"optimistic"``).
 
-        ``flags`` says, for each candidate or once for all, whether its own
-        edge counts as pinned. The table is scored once per flag that
-        occurs, on that flag's stand-in graph, against the allocations the
-        policy plays, in action order; the candidates with that flag gather
-        their rows from those scores in one step.
+        The table is scored against the allocations the policy plays, in
+        action order, once on a stand-in for the candidates whose edge is
+        in ``pins`` and once for the rest. Pad slots of the gathered rows
+        hold reward -inf and capture 0.0, so a row's first maximum is real.
         """
         policy = np.asarray(policy)
         support = np.flatnonzero(policy > 1e-12)
         allocations = [self.base_actions[i] for i in support]
-        flags = np.broadcast_to(flags, len(self.edges))
+        in_pins = np.array([edge in pins for edge in self.edges])
+        pinned = [pins | {edge} if own_pinned else pins for edge in self.edges]
         scores = np.empty((2, *self.index.shape))
-        for flag in dict.fromkeys(flags.tolist()):
-            rows, deployed = allocation_rows(self._stand_in(flag, pins), allocations, pins)
+        for flag in dict.fromkeys(in_pins.tolist()):
+            chosen = in_pins == flag
+            k = int(np.argmax(chosen))
+            rows, deployed = allocation_rows(augment(self.graph, self.edges[k]), allocations, pinned[k])
             table = self.columns.mixed(self.params, rows, deployed, policy[support])
-            chosen = flags == flag
             scores[:, chosen] = np.hstack([table, [[-np.inf], [0.0]]])[:, self.index[chosen]]
-        return scores
+        # no pin covers a base path, and every stand-in deploys as many
+        # honeypots, so each stand-in's table scores the base paths alike
+        baseline = float(np.max(table[0, : len(self.base_paths)]))
+        if criterion == "optimistic":
+            rewards, captures = [], []
+            for k, length in enumerate(self.lengths):
+                y2 = self.game(k, pinned[k]).attacker_equilibrium
+                # contiguous row prefixes: a strided dot product rounds differently
+                rewards.append(float(scores[0, k, :length] @ y2))
+                captures.append(float(scores[1, k, :length] @ y2))
+            return rewards, captures, baseline
+        best = scores[0].argmax(axis=-1)
+        candidates = np.arange(len(best))
+        return scores[0, candidates, best].tolist(), scores[1, candidates, best].tolist(), baseline
 
     def game(self, k, pins=frozenset()) -> "_AugmentedGame":
         """Candidate k's augmented game with honeypots pinned at the (u, v)

@@ -222,6 +222,7 @@ VALID_PLAN = {
     "candidates": [{"edge": [1, 3], "prevented": True}],
 }
 MISSING = "<missing>"
+WHOLE = "<whole document>"
 
 
 @pytest.mark.parametrize(
@@ -247,6 +248,19 @@ MISSING = "<missing>"
         (validate_plan_document, "candidates", [{"edge": [1, 3], "prevented": 1}], "malformed candidate outcome"),
         (validate_plan_document, "candidates", [{"edge": [1, 3]}], "candidate outcome missing 'prevented'"),
         (validate_plan_document, "candidates", [{"prevented": True}], "candidate outcome missing 'edge'"),
+        (validate_report_document, WHOLE, [VALID_REPORT], "report document is not an object"),
+        (validate_report_document, "records", None, "'records' is not a list"),
+        (validate_report_document, "records", [[1, 3]], "record is not an object"),
+        (validate_report_document, "edge", 13, "malformed record edge"),
+        (validate_report_document, "y_e", "1.0", "exploit probability out of range"),
+        (validate_plan_document, WHOLE, [VALID_PLAN], "plan document is not an object"),
+        (validate_plan_document, "pinned_edges", [13], "malformed pinned edge"),
+        (validate_plan_document, "effectiveness", "1.0", "effectiveness out of range"),
+        (validate_plan_document, "distribution", [3], "distribution entry is not an object"),
+        (validate_plan_document, "distribution", [{"edge": [1, 3], "x": "1.0"}], "distribution entry or mitigation_budget"),
+        (validate_plan_document, "mitigation_budget", "1.0", "distribution entry or mitigation_budget"),
+        (validate_plan_document, "candidates", None, "'candidates' is not a list"),
+        (validate_plan_document, "candidates", [[1, 3]], "candidate outcome is not an object"),
     ],
 )
 def test_validators_reject_bad_documents(validate, key, value, message):
@@ -254,7 +268,9 @@ def test_validators_reject_bad_documents(validate, key, value, message):
     validate(valid)
     doc = json.loads(json.dumps(valid))
     target = doc["records"][0] if valid is VALID_REPORT and key in RECORD else doc
-    if value is MISSING:
+    if key is WHOLE:
+        doc = value
+    elif value is MISSING:
         del target[key]
     else:
         target[key] = value

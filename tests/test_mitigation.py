@@ -13,7 +13,14 @@ import decoygraph.cli
 import oracles
 from decoygraph import mitigation, zeroday
 from decoygraph.game import GameParams, PathColumns, allocation_rows, build_matrix, defender_actions, pure_strategy
-from decoygraph.graph import NodeRecord, augment, enumerate_attack_paths, generate_zero_day_candidates, graph_from_parts
+from decoygraph.graph import (
+    NodeRecord,
+    augment,
+    enumerate_attack_paths,
+    generate_zero_day_candidates,
+    graph_from_parts,
+    join_added_paths,
+)
 from decoygraph.lp import FEASIBILITY_TOL as TOL, solve_zero_sum
 from decoygraph.mitigation import (
     MitigationPlan,
@@ -230,6 +237,24 @@ class TestNatureGame:
         with pytest.raises(ValueError, match="criterion"):
             nature_game(game, sol.defender_strategy, rows, criterion="hopeful")
 
+    def test_bad_strategy_is_rejected_before_any_solve(self, net20, monkeypatch):
+        # the optimistic column reads each record's deferred value, which
+        # solves an augmented game; a bad x1 must raise before the first one
+        graph, params, game, sol = net20
+        rows = scan_candidates(graph, params, solution=sol)[:10]
+        calls = []
+
+        def counted(matrix, **kwargs):
+            calls.append(matrix.shape)
+            return solve_zero_sum(matrix, **kwargs)
+
+        monkeypatch.setattr(zeroday, "solve_zero_sum", counted)
+        with pytest.raises(ValueError, match="sums to"):
+            nature_game(game, 5 * sol.defender_strategy, rows, criterion="optimistic")
+        assert calls == []
+        nature_game(game, sol.defender_strategy, rows, criterion="optimistic")
+        assert calls
+
 
 def diamond():
     nodes = [
@@ -388,6 +413,21 @@ class TestEvaluateMitigation:
         metrics = evaluate_mitigation(none_mitigation(), game, sol.defender_strategy, [], criterion=criterion)
         assert metrics == mitigation.MitigationMetrics(outcomes=[], effectiveness=0.0, capture_before=0.0,
                                                        capture_after=0.0)
+
+    @pytest.mark.parametrize("criterion", ["pessimistic", "optimistic"])
+    def test_empty_report_joins_no_paths(self, tree7, monkeypatch, criterion):
+        _, _, game, sol = tree7
+        joins = []
+
+        def counted(*args):
+            joins.append(args)
+            return join_added_paths(*args)
+
+        monkeypatch.setattr(zeroday, "join_added_paths", counted)
+        evaluate_mitigation(none_mitigation(), game, sol.defender_strategy, [], criterion=criterion)
+        assert joins == []
+        with pytest.raises(ValueError, match="sums to"):
+            evaluate_mitigation(none_mitigation(), game, 5 * sol.defender_strategy, [], criterion=criterion)
 
     def test_bad_strategies_are_rejected(self, tree7):
         graph, params, game, sol = tree7
